@@ -4,9 +4,9 @@
 //
 // The paper's claim: the hyperqueue version performs equivalently to the
 // task-dataflow version once the loop-split idiom bounds queue growth.
-// On this single-core host real times are throughput-equivalent by
-// construction; the interesting measured quantity is the queue footprint,
-// plus a virtual-time scaling comparison of the two models.
+// The table reports real times at the host's worker count, but the
+// interesting measured quantity is the queue footprint; scaling is
+// compared in virtual time (README "Substitutions").
 #include <cstdlib>
 #include <string>
 #include <thread>

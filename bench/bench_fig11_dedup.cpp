@@ -2,8 +2,8 @@
 // Objects and Hyperqueue.
 //
 // Stage costs and chunk statistics are measured on this host; speedup
-// curves come from the virtual-time models (single-core host — see
-// DESIGN.md). Expected shape: hyperqueue leads pthreads by ~12-30% in the
+// curves come from the virtual-time models (the figure spans more cores
+// than a development host has — README "Substitutions"). Expected shape: hyperqueue leads pthreads by ~12-30% in the
 // 6-8 core range (fine-grained streaming vs list gathering / queue
 // overhead); TBB trails pthreads; everything saturates against the ~8%
 // serial output stage; the hyperqueue advantage narrows at high core

@@ -2,8 +2,9 @@
 // Objects (task dataflow) and Hyperqueue.
 //
 // Stage costs are measured on this host (serial kernels); the speedup
-// curves are produced by the virtual-time scheduling models because this
-// host has a single core (see DESIGN.md substitutions). The FPU-pairing
+// curves are produced by the virtual-time scheduling models because the
+// figure spans more cores than a development host has (README
+// "Substitutions"). The FPU-pairing
 // penalty of the paper's Bulldozer testbed is modeled past 16 cores.
 // Expected shape: pthreads ≈ TBB ≈ hyperqueue scaling to ~27x with a dip
 // past 16 cores; objects plateaus near 13x (unoverlapped input stage).

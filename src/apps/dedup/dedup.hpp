@@ -1,5 +1,5 @@
 // dedup — deduplicating compression (PARSEC), rebuilt on synthetic archives
-// (see DESIGN.md substitutions).
+// (see README "Substitutions").
 //
 // Pipeline (paper Figure 9): Fragment -> FragmentRefine -> Deduplicate ->
 // Compress -> Output, with variable-rate stages: refinement produces many

@@ -108,7 +108,7 @@ namespace {
 
 /// Per-record cost model of the archive write (PARSEC's Output writes to
 /// disk; we have no disk, so the write+journal syscall path is modeled as a
-/// checksum over a scratch prefix — see the DESIGN.md substitution table).
+/// checksum over a scratch prefix — see README "Substitutions").
 /// The cost scales with the bytes actually written (payload records cost
 /// more than 21-byte references) on top of a fixed per-record journal floor;
 /// the multiplier is sized so Output lands near its Table 2 share (~8%, the

@@ -1,5 +1,5 @@
 // ferret — content-based similarity search (PARSEC), rebuilt on synthetic
-// images (see DESIGN.md substitutions).
+// images (see README "Substitutions").
 //
 // Pipeline (paper Figure 7):  input -> segment -> extract -> vector ->
 // rank -> output, where input (recursive directory traversal + image load)

@@ -301,29 +301,46 @@ class hq_emitter {
 // ---- hyperqueue stage tasks ------------------------------------------------
 // One template per stage shape; the graph's per-stage `hq_spawn` closure
 // picks the right one and binds the typed channel endpoints. Stage tasks are
-// spawned by the runner's root task in declaration order, which *is* the
-// serial-elision order the queues' definitive-empty gate relies on.
+// spawned by the runner's root task in chain order with spawn_stage, which
+// *is* the serial-elision order the queues' definitive-empty gate relies on
+// and the start order the scheduler's stage rules need. Every task borrows
+// its stage body from the graph, which outlives the run: a spawn copies a
+// pointer, not the std::function (whose closure holds the fault-site string
+// and the user body on the heap).
 
 template <typename Out>
-void hq_source_task(std::function<void(emit<Out>)> body, hq_knobs k,
+using source_body = std::function<void(emit<Out>)>;
+template <typename In, typename Out>
+using stage_body = std::function<void(In&&, emit<Out>)>;
+template <typename In>
+using sink_body = std::function<void(In&&)>;
+
+template <typename Out>
+void hq_source_task(const source_body<Out>* body, hq_knobs k,
                     pushdep<Out> out) {
   hq_emitter<Out> em(out, k.out_batch, k.out_bulk, k.admit);
-  body(em.handle());
+  (*body)(em.handle());
 }
 
 template <typename In, typename Out>
-void hq_batch_task(std::function<void(In&&, emit<Out>)> body, hq_knobs k,
+void hq_batch_task(const stage_body<In, Out>* body, hq_knobs k,
                    std::vector<In> work, pushdep<Out> out) {
   hq_emitter<Out> em(out, k.out_batch, k.out_bulk);
-  for (auto& v : work) body(std::move(v), em.handle());
+  for (auto& v : work) (*body)(std::move(v), em.handle());
 }
 
 /// Parallel stage: a dispatcher pops batches (read slices on the bulk path,
 /// single values on the element path) and spawns one child per batch; the
 /// hyperqueue keeps the children's output in spawn (= serial-elision) order.
 template <typename In, typename Out>
-void hq_parallel_stage(std::function<void(In&&, emit<Out>)> body, hq_knobs k,
+void hq_parallel_stage(const stage_body<In, Out>* body, hq_knobs k,
                        popdep<In> in, pushdep<Out> out) {
+  // One child per batch (per record on the element path): its frame must
+  // hold the whole closure inline, or every child pays a heap allocation.
+  static_assert(spawn_fits_inline<decltype(&hq_batch_task<In, Out>),
+                                  const stage_body<In, Out>*, hq_knobs,
+                                  std::vector<In>, pushdep<Out>>,
+                "batch-child closure must fit task_fn's inline buffer");
   for (;;) {
     std::vector<In> work;
     if (k.in_bulk) {
@@ -344,32 +361,32 @@ void hq_parallel_stage(std::function<void(In&&, emit<Out>)> body, hq_knobs k,
 /// Serial stage (ordered or not): one task draining the input inline. Pop
 /// order is serial-elision order, so serial_in_order needs nothing extra.
 template <typename In, typename Out>
-void hq_serial_stage(std::function<void(In&&, emit<Out>)> body, hq_knobs k,
+void hq_serial_stage(const stage_body<In, Out>* body, hq_knobs k,
                      popdep<In> in, pushdep<Out> out) {
   hq_emitter<Out> em(out, k.out_batch, k.out_bulk);
   if (k.in_bulk) {
     for (;;) {
       auto rs = in.get_read_slice(k.in_batch);
       if (rs.empty()) break;
-      for (auto& v : rs) body(std::move(v), em.handle());
+      for (auto& v : rs) (*body)(std::move(v), em.handle());
       rs.release();
     }
   } else {
     while (!in.empty()) {
       In v = in.pop();
-      body(std::move(v), em.handle());
+      (*body)(std::move(v), em.handle());
     }
   }
 }
 
 template <typename In>
-void hq_sink_task(std::function<void(In&&)> body, hq_knobs k, popdep<In> in) {
+void hq_sink_task(const sink_body<In>* body, hq_knobs k, popdep<In> in) {
   if (k.in_bulk) {
     for (;;) {
       auto rs = in.get_read_slice(k.in_batch);
       if (rs.empty()) break;
       for (auto& v : rs) {
-        body(std::move(v));
+        (*body)(std::move(v));
         if (k.complete != nullptr) k.complete->complete();
       }
       rs.release();
@@ -377,7 +394,7 @@ void hq_sink_task(std::function<void(In&&)> body, hq_knobs k, popdep<In> in) {
   } else {
     while (!in.empty()) {
       In v = in.pop();
-      body(std::move(v));
+      (*body)(std::move(v));
       if (k.complete != nullptr) k.complete->complete();
     }
   }
@@ -405,6 +422,8 @@ struct stage_rec {
   /// (consumed); emissions are owned heap Out*.
   std::function<void(void* token, const erased_emit& next)> run_heap;
   /// Hyperqueue lowering: spawn this stage's task over the typed channels.
+  /// The task borrows the body captured in this closure, so the graph must
+  /// outlive the run (pipe::execute guarantees it).
   std::function<void(const hq_stage_ctx&)> hq_spawn;
   /// Factory for this stage's *output* channel (typed on Out).
   std::function<std::unique_ptr<hq_chan_base>(
@@ -444,9 +463,9 @@ class graph {
     // every backend — the injection choke point the declarative front-end
     // buys us. Cost when no plan is installed: one relaxed load per
     // activation.
-    std::function<void(emit<Out>)> fn =
+    detail::source_body<Out> fn =
         [site = "stage." + name,
-         inner = std::function<void(emit<Out>)>(std::forward<F>(body))](
+         inner = detail::source_body<Out>(std::forward<F>(body))](
             emit<Out> out) {
           hq::fault::crashpoint(site);
           inner(out);
@@ -464,7 +483,8 @@ class graph {
     };
     s.hq_spawn = [fn](const detail::hq_stage_ctx& c) {
       auto& q = static_cast<detail::hq_chan<Out>*>(c.out)->q;
-      hq::spawn(detail::hq_source_task<Out>, fn, c.knobs, (pushdep<Out>)q);
+      hq::spawn_stage(detail::hq_source_task<Out>, &fn, c.knobs,
+                      (pushdep<Out>)q);
     };
     stages_.push_back(std::move(s));
     return stages_.size() - 1;
@@ -491,9 +511,9 @@ class graph {
   /// observe arrival order. Parallel sinks are rejected at compile().
   template <typename In, typename F>
   stage_id sink(std::string name, stage_kind kind, F&& body) {
-    std::function<void(In&&)> fn =
+    detail::sink_body<In> fn =
         [site = "stage." + name,
-         inner = std::function<void(In &&)>(std::forward<F>(body))](In&& v) {
+         inner = detail::sink_body<In>(std::forward<F>(body))](In&& v) {
           hq::fault::crashpoint(site);
           inner(std::move(v));
         };
@@ -511,7 +531,7 @@ class graph {
     };
     s.hq_spawn = [fn](const detail::hq_stage_ctx& c) {
       auto& q = static_cast<detail::hq_chan<In>*>(c.in)->q;
-      hq::spawn(detail::hq_sink_task<In>, fn, c.knobs, (popdep<In>)q);
+      hq::spawn_stage(detail::hq_sink_task<In>, &fn, c.knobs, (popdep<In>)q);
     };
     stages_.push_back(std::move(s));
     return stages_.size() - 1;
@@ -554,9 +574,9 @@ class graph {
   template <typename In, typename Out, typename F>
   stage_id add_middle(std::string name, stage_kind kind, F&& body,
                       bool multi_out) {
-    std::function<void(In&&, emit<Out>)> fn =
+    detail::stage_body<In, Out> fn =
         [site = "stage." + name,
-         inner = std::function<void(In&&, emit<Out>)>(std::forward<F>(body))](
+         inner = detail::stage_body<In, Out>(std::forward<F>(body))](
             In&& v, emit<Out> out) {
           hq::fault::crashpoint(site);
           inner(std::move(v), out);
@@ -578,11 +598,11 @@ class graph {
       auto& inq = static_cast<detail::hq_chan<In>*>(c.in)->q;
       auto& outq = static_cast<detail::hq_chan<Out>*>(c.out)->q;
       if (kind == stage_kind::parallel) {
-        hq::spawn(detail::hq_parallel_stage<In, Out>, fn, c.knobs,
-                  (popdep<In>)inq, (pushdep<Out>)outq);
+        hq::spawn_stage(detail::hq_parallel_stage<In, Out>, &fn, c.knobs,
+                        (popdep<In>)inq, (pushdep<Out>)outq);
       } else {
-        hq::spawn(detail::hq_serial_stage<In, Out>, fn, c.knobs,
-                  (popdep<In>)inq, (pushdep<Out>)outq);
+        hq::spawn_stage(detail::hq_serial_stage<In, Out>, &fn, c.knobs,
+                        (popdep<In>)inq, (pushdep<Out>)outq);
       }
     };
     stages_.push_back(std::move(s));

@@ -104,8 +104,9 @@ exec_result run_serial_elision(graph& g, detail::admission_ctl* ctl = nullptr) {
 // ---- hyperqueue backend ----------------------------------------------------
 // One hyperqueue per edge, created by the root task (which thereby owns
 // them, per the attachment model) and homed per the partition plan; stage
-// tasks spawned in chain order — the serial-elision order the queues'
-// visibility rules assume. The element backend is the same lowering with
+// frames spawned in chain order — the serial-elision order the queues'
+// visibility rules assume, and the order the scheduler starts stage frames
+// in (sched/scheduler.hpp). The element backend is the same lowering with
 // the bulk path forced off on every edge.
 
 detail::hq_knobs knobs_for(const graph& g, const graph::plan& p,

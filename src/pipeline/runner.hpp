@@ -10,7 +10,13 @@
 //                         scheduler's placement policy feeds
 //                         plan_queue_placement from the graph's own
 //                         attachment topology and homes each queue on its
-//                         consumer stage's node (PR 6 residual closed).
+//                         consumer stage's node. Each stage loop is a
+//                         stage frame (spawn_stage): the scheduler starts
+//                         them in chain order and never nests one inside
+//                         another's blocking wait, so with workers >= stages
+//                         every stage runs concurrently, and with fewer the
+//                         started stages are an upstream prefix that always
+//                         progresses (README "Stage scheduling").
 //   hyperqueue_element  — same lowering, element-at-a-time pushes/pops on
 //                         every edge (Section 4 baseline data path).
 //   pthreads            — explicit-thread baseline over bounded_queue, with

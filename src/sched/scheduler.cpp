@@ -165,7 +165,8 @@ scheduler::~scheduler() {
   work_epoch_.fetch_add(1, std::memory_order_release);
   idle_cv_.notify_all();
   for (auto& t : threads_) t.join();
-  assert(injector_.empty() && "scheduler destroyed with pending tasks");
+  assert(injector_.empty() && stage_ready_.empty() &&
+         "scheduler destroyed with pending tasks");
 }
 
 void scheduler::run_root(task_fn fn) {
@@ -225,7 +226,11 @@ void scheduler::record_failure(std::exception_ptr e) noexcept {
 void scheduler::enqueue(task_frame* t) {
   assert(t->sched == this);
   worker_ctx* w = detail::t_worker;
-  if (w != nullptr && w->sched == this) {
+  if (t->stage) {
+    std::lock_guard<std::mutex> lk(stage_mu_);
+    stage_ready_.push_back(t);
+    stage_count_.store(stage_ready_.size(), std::memory_order_release);
+  } else if (w != nullptr && w->sched == this) {
     w->deque.push_bottom(t);
   } else {
     std::lock_guard<std::mutex> lk(inj_mu_);
@@ -285,6 +290,12 @@ task_frame* scheduler::pop_injector() {
 
 task_frame* scheduler::find_task(worker_ctx& w) {
   if (task_frame* t = w.deque.pop_bottom()) return t;
+  // A stage-free stack starts the oldest pending stage before it steals:
+  // an unstarted stage holds up its whole downstream, a stolen batch
+  // child only itself.
+  if (w.stage_depth == 0) {
+    if (task_frame* t = pop_stage(w)) return t;
+  }
   // Poll the injector before the steal sweep: external submissions must not
   // starve behind 2·n failed steal rounds.
   if (task_frame* t = pop_injector()) return t;
@@ -294,6 +305,7 @@ task_frame* scheduler::find_task(worker_ctx& w) {
 
 bool scheduler::work_available() const {
   if (inj_count_.load(std::memory_order_relaxed) > 0) return true;
+  if (stage_count_.load(std::memory_order_relaxed) > 0) return true;
   for (const auto& w : workers_) {
     if (w->deque.size_estimate() > 0) return true;
   }
@@ -341,6 +353,20 @@ bool safe_to_nest(task_frame* host, task_frame* cand) {
 
 }  // namespace
 
+task_frame* scheduler::pop_stage(worker_ctx& w) {
+  if (stage_count_.load(std::memory_order_acquire) == 0) return nullptr;
+  std::lock_guard<std::mutex> lk(stage_mu_);
+  if (stage_ready_.empty()) return nullptr;
+  // Only the oldest may start (chain order). If it cannot nest on this
+  // stack it stays at the front for a worker that can run it; taking a
+  // younger stage instead would break the upstream-prefix invariant.
+  task_frame* t = stage_ready_.front();
+  if (w.current != nullptr && !safe_to_nest(w.current, t)) return nullptr;
+  stage_ready_.pop_front();
+  stage_count_.store(stage_ready_.size(), std::memory_order_release);
+  return t;
+}
+
 bool scheduler::help_one() {
   worker_ctx* w = detail::t_worker;
   if (w == nullptr || w->sched != this) return false;
@@ -374,6 +400,8 @@ void scheduler::execute(task_frame* t) {
   task_frame* prev = w->current;
   t->exec_parent = prev;
   w->current = t;
+  const bool stage = t->stage;
+  w->stage_depth += stage ? 1u : 0u;
   w->counters.executed.fetch_add(1, std::memory_order_relaxed);
 
   // The failure guard. Cost when nothing throws: one relaxed load and a
@@ -399,6 +427,7 @@ void scheduler::execute(task_frame* t) {
   wait_until([t] { return t->live_children.load(std::memory_order_acquire) == 0; });
   t->fn.reset();
   finish(t);
+  w->stage_depth -= stage ? 1u : 0u;
   w->current = prev;
 }
 

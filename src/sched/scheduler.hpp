@@ -8,6 +8,21 @@
 // (Section 4.5) without losing progress, and makes single-worker execution
 // of pipelines deadlock-free.
 //
+// Stage frames (spawn_stage: the long-lived loops of a lowered pipeline) are
+// the exception to "run any ready task while blocked". Nesting one stage
+// loop inside another's wait would suspend the outer stage until the inner
+// one's whole stream is done, serializing the pipeline. Two rules keep
+// stages overlapped and the schedule live at every worker count:
+//  1. a wait whose execution stack already holds a stage frame never starts
+//     another stage frame (it still runs non-stage tasks, e.g. batch
+//     children);
+//  2. stage frames start from one FIFO in spawn (= chain) order, oldest
+//     first, so the started stages always form an upstream prefix of the
+//     chain. Its oldest unfinished member waits only on finished stages or
+//     on its own children, so some stage can always progress; when it
+//     finishes, its worker's stack is stage-free again and the next stage
+//     starts there.
+//
 // Hot-path design (the "scale-free" requirement of the paper's Section 1:
 // one task per element/batch must stay cheap at any worker count):
 //  * task frames come from a per-worker magazine pool (sched/obj_pool.hpp) —
@@ -56,6 +71,9 @@ struct worker_ctx {
   unsigned index = 0;
   chase_lev_deque<task_frame> deque;
   task_frame* current = nullptr;
+  /// Stage frames on this worker's execution stack (see the scheduler's
+  /// stage rules); owner-only. Nonzero means no further stage may start here.
+  unsigned stage_depth = 0;
 
   // Placement (scheduler ctor, immutable afterwards). cpu is the assigned
   // logical CPU (-1 under policy none); node/llc/core are its dense domain
@@ -342,6 +360,7 @@ class scheduler {
   detail::task_frame* find_task(detail::worker_ctx& w);
   detail::task_frame* try_steal(detail::worker_ctx& w);
   detail::task_frame* pop_injector();
+  detail::task_frame* pop_stage(detail::worker_ctx& w);
   bool work_available() const;
   void execute(detail::task_frame* t);
   void finish(detail::task_frame* t);
@@ -364,6 +383,13 @@ class scheduler {
   std::mutex inj_mu_;
   std::deque<detail::task_frame*> injector_;
   std::atomic<std::size_t> inj_count_{0};
+
+  // Stage frames not yet started, in spawn order (see the stage rules in
+  // the file comment). Touched once per stage per run, so a mutex is fine;
+  // stage_count_ keeps the empty check off the lock.
+  std::mutex stage_mu_;
+  std::deque<detail::task_frame*> stage_ready_;
+  std::atomic<std::size_t> stage_count_{0};
 
   // Idle-worker parking.
   std::mutex idle_mu_;

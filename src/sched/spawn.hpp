@@ -41,6 +41,25 @@ auto resolve_spawn_arg(task_frame* fr, A&& a) {
   }
 }
 
+/// The spawn-time type of argument A once resolved (wrappers keep their
+/// type, plain values decay).
+template <typename A>
+using resolved_arg_t =
+    decltype(resolve_spawn_arg(std::declval<task_frame*>(), std::declval<A>()));
+
+/// The closure a spawn stores in its frame: the callable plus the resolved
+/// arguments, applied once.
+template <typename F, typename Tup>
+struct bound_task {
+  F func;
+  Tup args;
+  void operator()() { std::apply(func, std::move(args)); }
+};
+
+template <typename F, typename... Args>
+using bound_task_t =
+    bound_task<std::decay_t<F>, std::tuple<resolved_arg_t<Args>...>>;
+
 inline void launch(task_frame* fr);
 
 /// Create a child frame with the closure bound and dependences registered,
@@ -56,11 +75,9 @@ task_frame* make_task(F&& f, Args&&... args) {
   try {
     // Build the argument tuple; wrapper resolution registers dependences and
     // performs hyperqueue view transfers for this spawn.
-    auto bound = std::tuple(resolve_spawn_arg(fr, std::forward<Args>(args))...);
-    fr->fn = task_fn(
-        [func = std::decay_t<F>(std::forward<F>(f)), tup = std::move(bound)]() mutable {
-          std::apply(func, std::move(tup));
-        });
+    fr->fn = task_fn(bound_task_t<F, Args...>{
+        std::decay_t<F>(std::forward<F>(f)),
+        {resolve_spawn_arg(fr, std::forward<Args>(args))...}});
   } catch (...) {
     // Argument resolution threw (e.g. an injected allocation failure in the
     // attach pool) with shards/hooks possibly already half-registered on fr
@@ -90,6 +107,24 @@ inline void launch(task_frame* fr) {
 template <typename F, typename... Args>
 void spawn(F&& f, Args&&... args) {
   detail::launch(detail::make_task(std::forward<F>(f), std::forward<Args>(args)...));
+}
+
+/// True when spawn(f, args...) stores its closure inside the task frame
+/// (no heap allocation per spawn).
+template <typename F, typename... Args>
+inline constexpr bool spawn_fits_inline =
+    task_fn::fits_inline<detail::bound_task_t<F, Args...>>;
+
+/// Spawn `f(args...)` as a pipeline stage loop: a long-lived task that
+/// streams between hyperqueues. The scheduler starts stage frames in spawn
+/// order and never nests one inside another stage's blocking wait
+/// (sched/scheduler.hpp), so spawn a chain's stages source first.
+template <typename F, typename... Args>
+void spawn_stage(F&& f, Args&&... args) {
+  detail::task_frame* fr =
+      detail::make_task(std::forward<F>(f), std::forward<Args>(args)...);
+  fr->stage = true;
+  detail::launch(fr);
 }
 
 /// Wait until all children spawned by the calling task have completed.

@@ -52,6 +52,11 @@ struct task_frame {
   /// meaningful while the frame runs, and only read by its own worker.
   task_frame* exec_parent = nullptr;
 
+  /// Long-lived pipeline stage loop (spawn_stage). Stage frames bypass the
+  /// deques: they start oldest-first from the scheduler's stage FIFO, and
+  /// never on an execution stack that already holds a stage frame.
+  bool stage = false;
+
   task_fn fn;
 
   /// Children spawned and not yet completed; sync() waits for zero.

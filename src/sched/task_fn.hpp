@@ -39,6 +39,12 @@ class basic_fn {
  public:
   static constexpr std::size_t kInlineBytes = InlineBytes;
 
+  /// True when a closure of type Fn is stored inline (no allocation).
+  template <typename Fn>
+  static constexpr bool fits_inline =
+      sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<Fn>;
+
   basic_fn() = default;
 
   template <typename F,
@@ -46,8 +52,7 @@ class basic_fn {
   basic_fn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
     using Fn = std::decay_t<F>;
     static_assert(std::is_invocable_r_v<void, Fn&>, "task body must be callable as void()");
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (fits_inline<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       vt_ = &vtable_inline<Fn>;
     } else {

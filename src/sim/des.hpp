@@ -1,9 +1,9 @@
 // Discrete-event simulation engine with a fixed number of cores.
 //
-// This is the substrate of the speedup-figure reproduction (DESIGN.md
-// substitutions): the host has one core, so Figures 8/11 are regenerated by
-// simulating the four scheduling models in virtual time, parameterized by
-// stage costs measured on the host.
+// This is the substrate of the speedup-figure reproduction (README
+// "Substitutions"): the figures span more cores than the host has, so
+// Figures 8/11 are regenerated by simulating the four scheduling models in
+// virtual time, parameterized by stage costs measured on the host.
 //
 // Model: work units occupy one core for a service time; cores dispatch from
 // a FIFO run queue (non-preemptive at work-unit granularity, which matches
