@@ -13,6 +13,7 @@
 
 #include "apps/bzip2/bzip2.hpp"
 #include "calibrate.hpp"
+#include "pipeline/runner.hpp"
 #include "quick.hpp"
 #include "sim/models.hpp"
 #include "util/datagen.hpp"
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
 
   auto serial_r = hq::apps::bzip2::run_serial(cfg, input);
   auto obj_r = hq::apps::bzip2::run_objects(cfg, input);
-  auto hq_r = hq::apps::bzip2::run_hyperqueue(cfg, input);
+  auto hq_r = hq::apps::bzip2::run(cfg, input, hq::pipe::backend::hyperqueue);
   auto split_r = hq::apps::bzip2::run_hyperqueue_split(cfg, input);
 
   auto verify = [&](const hq::apps::bzip2::result& r) {

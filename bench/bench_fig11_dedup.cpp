@@ -14,6 +14,7 @@
 
 #include "apps/dedup/dedup.hpp"
 #include "calibrate.hpp"
+#include "pipeline/runner.hpp"
 #include "quick.hpp"
 #include "sim/models.hpp"
 #include "util/datagen.hpp"
@@ -81,10 +82,10 @@ int main(int argc, char** argv) {
   auto sinput =
       hq::util::gen_archive(small.input_bytes, small.dup_fraction, small.seed);
   auto serial_r = hq::apps::dedup::run_serial(small, sinput);
-  auto pth_r = hq::apps::dedup::run_pthreads(small, sinput);
-  auto tbb_r = hq::apps::dedup::run_tbb(small, sinput);
+  auto pth_r = hq::apps::dedup::run(small, sinput, hq::pipe::backend::pthreads);
+  auto tbb_r = hq::apps::dedup::run(small, sinput, hq::pipe::backend::tbb);
   auto obj_r = hq::apps::dedup::run_objects(small, sinput);
-  auto hqq_r = hq::apps::dedup::run_hyperqueue(small, sinput);
+  auto hqq_r = hq::apps::dedup::run(small, sinput, hq::pipe::backend::hyperqueue);
   auto same = [&](const hq::apps::dedup::result& r) {
     return r.output == serial_r.output ? "yes" : "NO";
   };

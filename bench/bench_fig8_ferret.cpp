@@ -16,6 +16,7 @@
 
 #include "apps/ferret/ferret.hpp"
 #include "calibrate.hpp"
+#include "pipeline/runner.hpp"
 #include "quick.hpp"
 #include "sim/models.hpp"
 #include "util/table.hpp"
@@ -68,10 +69,10 @@ int main(int argc, char** argv) {
   small.num_images = quick ? 24 : 96;
   small.threads = std::max(1u, std::thread::hardware_concurrency());
   auto serial_r = hq::apps::ferret::run_serial(small);
-  auto pth_r = hq::apps::ferret::run_pthreads(small);
-  auto tbb_r = hq::apps::ferret::run_tbb(small);
+  auto pth_r = hq::apps::ferret::run(small, hq::pipe::backend::pthreads);
+  auto tbb_r = hq::apps::ferret::run(small, hq::pipe::backend::tbb);
   auto obj_r = hq::apps::ferret::run_objects(small);
-  auto hqq_r = hq::apps::ferret::run_hyperqueue(small);
+  auto hqq_r = hq::apps::ferret::run(small, hq::pipe::backend::hyperqueue);
   const bool ok = pth_r.checksum == serial_r.checksum &&
                   tbb_r.checksum == serial_r.checksum &&
                   obj_r.checksum == serial_r.checksum &&

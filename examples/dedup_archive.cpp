@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "apps/dedup/dedup.hpp"
+#include "pipeline/runner.hpp"
 #include "util/datagen.hpp"
 
 int main(int argc, char** argv) {
@@ -17,7 +18,7 @@ int main(int argc, char** argv) {
 
   auto input =
       hq::util::gen_archive(cfg.input_bytes, cfg.dup_fraction, cfg.seed);
-  auto r = hq::apps::dedup::run_hyperqueue(cfg, input);
+  auto r = hq::apps::dedup::run(cfg, input, hq::pipe::backend::hyperqueue);
 
   std::printf("input      : %zu bytes\n", input.size());
   std::printf("output     : %zu bytes (%.1f%%)\n", r.output.size(),

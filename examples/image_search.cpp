@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include "apps/ferret/ferret.hpp"
+#include "pipeline/runner.hpp"
 
 int main(int argc, char** argv) {
   hq::apps::ferret::config cfg;
@@ -15,7 +16,7 @@ int main(int argc, char** argv) {
   cfg.num_images = argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 128;
 
   auto serial = hq::apps::ferret::run_serial(cfg);
-  auto parallel = hq::apps::ferret::run_hyperqueue(cfg);
+  auto parallel = hq::apps::ferret::run(cfg, hq::pipe::backend::hyperqueue);
 
   std::printf("ranked %zu query images against %zu database entries\n",
               cfg.num_images, cfg.db_entries);

@@ -13,6 +13,7 @@
 
 namespace hq::pipe {
 class graph;
+enum class backend;
 }
 
 namespace hq::apps::bzip2 {
@@ -33,7 +34,8 @@ struct result {
   std::size_t blocks = 0;
   std::size_t peak_segments = 0;  // hyperqueue variants: memory footprint probe
   // Segment-pool counters summed over the pipeline's queues (hyperqueue
-  // variants): fresh allocations, pool reuses, peak segments in use.
+  // variants): fresh allocations, pool reuses, peak segments in use. The
+  // loop-split tests and bench compare these against the unsplit run.
   std::size_t seg_allocated = 0;
   std::size_t seg_recycled = 0;
   std::size_t seg_high_water = 0;
@@ -41,19 +43,18 @@ struct result {
 
 result run_serial(const config& cfg, const std::vector<std::uint8_t>& input);
 /// Declarative 3-stage description (pipeline/builder.hpp): serial read ->
-/// parallel compress -> in-order write. The pthreads/tbb/hyperqueue
-/// variants below all execute this one graph; `cfg`, `input` and `r` must
+/// parallel compress -> in-order write. `cfg`, `input` and `r` must
 /// outlive the built graph.
 void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input,
                        result* r, pipe::graph& g);
-result run_pthreads(const config& cfg, const std::vector<std::uint8_t>& input);
-result run_tbb(const config& cfg, const std::vector<std::uint8_t>& input);
+/// Execute describe_pipeline's graph on backend `b` (pipeline/runner.hpp)
+/// with `cfg.threads` workers.
+result run(const config& cfg, const std::vector<std::uint8_t>& input,
+           pipe::backend b);
+/// Figure baselines kept hand-rolled: task dataflow ("objects") and the
+/// Section 5.4 loop split, whose owner-push + selective-sync shape is not a
+/// linear stage chain.
 result run_objects(const config& cfg, const std::vector<std::uint8_t>& input);
-/// Slice-based hyperqueue pipeline (the default; Section 5.2 batching).
-result run_hyperqueue(const config& cfg, const std::vector<std::uint8_t>& input);
-/// Element-at-a-time hyperqueue pipeline (baseline for the slice bench).
-result run_hyperqueue_element(const config& cfg,
-                              const std::vector<std::uint8_t>& input);
 result run_hyperqueue_split(const config& cfg,
                             const std::vector<std::uint8_t>& input);
 

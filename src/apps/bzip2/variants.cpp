@@ -2,11 +2,11 @@
 // byte-identical (mbzip whole-stream format), so equality against the
 // serial stream verifies in-order writes.
 //
-// The pthreads/tbb/hyperqueue variants share one declarative description
-// (describe_pipeline); only the serial reference, the task-dataflow
-// "objects" comparison and the Section 5.4/5.5 loop-split idiom — which
-// exercises owner-push and selective sync, shapes the front-end does not
-// model — remain hand-rolled.
+// Every runner backend executes one declarative description
+// (describe_pipeline, via run()); only the serial reference, the
+// task-dataflow "objects" comparison and the Section 5.4/5.5 loop-split
+// idiom — which exercises owner-push and selective sync, shapes the
+// front-end does not model — remain hand-rolled.
 #include <algorithm>
 #include <memory>
 
@@ -100,10 +100,8 @@ void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input
   g.connect(compress, write, opts);
 }
 
-namespace {
-
-result run_declarative(const config& cfg, const std::vector<std::uint8_t>& input,
-                       pipe::backend b) {
+result run(const config& cfg, const std::vector<std::uint8_t>& input,
+           pipe::backend b) {
   result r;
   pipe::graph g;
   describe_pipeline(cfg, input, &r, g);
@@ -115,27 +113,8 @@ result run_declarative(const config& cfg, const std::vector<std::uint8_t>& input
   r.seg_allocated = ex.pool.allocated;
   r.seg_recycled = ex.pool.recycled;
   r.seg_high_water = ex.pool.high_water;
-  r.peak_segments = std::max(r.peak_segments, ex.peak_segments);
+  r.peak_segments = ex.peak_segments;
   return r;
-}
-
-}  // namespace
-
-result run_pthreads(const config& cfg, const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::pthreads);
-}
-
-result run_tbb(const config& cfg, const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::tbb);
-}
-
-result run_hyperqueue(const config& cfg, const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::hyperqueue);
-}
-
-result run_hyperqueue_element(const config& cfg,
-                              const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::hyperqueue_element);
 }
 
 // ---------------------------------------------------------------- objects

@@ -23,6 +23,7 @@
 
 namespace hq::pipe {
 class graph;
+enum class backend;
 }
 
 namespace hq::apps::dedup {
@@ -107,27 +108,20 @@ struct result {
   double seconds = 0;
   std::size_t total_chunks = 0;
   std::size_t unique_chunks = 0;
-  // Segment-pool counters of the shared write queue (hyperqueue variants).
-  std::size_t seg_allocated = 0;
-  std::size_t seg_recycled = 0;
-  std::size_t seg_high_water = 0;
 };
 
 result run_serial(const config& cfg, const std::vector<std::uint8_t>& input);
 /// Declarative Figure 9 description (pipeline/builder.hpp): fragment ->
-/// refine (variable-rate expand) -> dedup+compress -> in-order output. The
-/// pthreads/tbb/hyperqueue variants below all execute this one graph;
+/// refine (variable-rate expand) -> dedup+compress -> in-order output.
 /// `cfg`, `input`, `table` and `r` must outlive the built graph.
 void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input,
                        dedup_table* table, result* r, pipe::graph& g);
-result run_pthreads(const config& cfg, const std::vector<std::uint8_t>& input);
-result run_tbb(const config& cfg, const std::vector<std::uint8_t>& input);
+/// Execute describe_pipeline's graph on backend `b` (pipeline/runner.hpp)
+/// with `cfg.threads` workers.
+result run(const config& cfg, const std::vector<std::uint8_t>& input,
+           pipe::backend b);
+/// Task-dataflow figure baseline (hand-rolled).
 result run_objects(const config& cfg, const std::vector<std::uint8_t>& input);
-/// Slice-based hyperqueue pipeline (the default; Section 5.2 batching).
-result run_hyperqueue(const config& cfg, const std::vector<std::uint8_t>& input);
-/// Element-at-a-time hyperqueue pipeline (baseline for the slice bench).
-result run_hyperqueue_element(const config& cfg,
-                              const std::vector<std::uint8_t>& input);
 
 /// Serial per-stage seconds {Fragment, FragmentRefine, Deduplicate,
 /// Compress, Output} plus iteration counts, for Table 2.

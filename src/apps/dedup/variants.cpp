@@ -2,10 +2,10 @@
 // across all of them (first-occurrence-in-output-order carries the
 // payload), so equality against the serial stream is the correctness test.
 //
-// The pthreads/tbb/hyperqueue variants share one declarative description
-// (describe_pipeline) whose expand stage carries the paper's variable-rate
-// coarse->fine split; the serial reference and the task-dataflow "objects"
-// comparison remain hand-rolled.
+// Every runner backend executes one declarative description
+// (describe_pipeline, via run()) whose expand stage carries the paper's
+// variable-rate coarse->fine split; the serial reference and the
+// task-dataflow "objects" comparison remain hand-rolled.
 #include <algorithm>
 #include <memory>
 
@@ -106,10 +106,8 @@ void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input
   g.connect(dedup_compress, output, out_edge);
 }
 
-namespace {
-
-result run_declarative(const config& cfg, const std::vector<std::uint8_t>& input,
-                       pipe::backend b) {
+result run(const config& cfg, const std::vector<std::uint8_t>& input,
+           pipe::backend b) {
   result r;
   dedup_table table;
   pipe::graph g;
@@ -119,30 +117,8 @@ result run_declarative(const config& cfg, const std::vector<std::uint8_t>& input
   opt.seed = cfg.seed;
   const pipe::exec_result ex = pipe::execute(g, b, opt);
   r.seconds = ex.seconds;
-  r.seg_allocated = ex.pool.allocated;
-  r.seg_recycled = ex.pool.recycled;
-  r.seg_high_water = ex.pool.high_water;
   r.unique_chunks = table.unique_chunks();
   return r;
-}
-
-}  // namespace
-
-result run_pthreads(const config& cfg, const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::pthreads);
-}
-
-result run_tbb(const config& cfg, const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::tbb);
-}
-
-result run_hyperqueue(const config& cfg, const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::hyperqueue);
-}
-
-result run_hyperqueue_element(const config& cfg,
-                              const std::vector<std::uint8_t>& input) {
-  return run_declarative(cfg, input, pipe::backend::hyperqueue_element);
 }
 
 // ---------------------------------------------------------------- objects

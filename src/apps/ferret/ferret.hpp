@@ -18,6 +18,7 @@
 
 namespace hq::pipe {
 class graph;
+enum class backend;
 }
 
 namespace hq::apps::ferret {
@@ -76,27 +77,19 @@ std::vector<std::string> traversal_order(const config& cfg);
 struct result {
   std::uint64_t checksum = 0;
   double seconds = 0;
-  // Segment-pool counters summed over the pipeline's queues (hyperqueue
-  // variants only).
-  std::size_t seg_allocated = 0;
-  std::size_t seg_recycled = 0;
-  std::size_t seg_high_water = 0;
 };
 
 result run_serial(const config& cfg);
 /// Declarative 3-stage description (pipeline/builder.hpp): serial input ->
 /// fused parallel middle (segment+extract+vector+rank) -> in-order output.
-/// The pthreads/tbb/hyperqueue variants below all execute this one graph;
 /// `cfg`, `db` and `checksum` must outlive the built graph.
 void describe_pipeline(const config& cfg, const feature_db& db,
                        std::uint64_t* checksum, pipe::graph& g);
-result run_pthreads(const config& cfg);
-result run_tbb(const config& cfg);
-result run_objects(const config& cfg);     // task dataflow, input not overlapped
-/// Slice-based hyperqueue pipeline (the default; Section 5.2 batching).
-result run_hyperqueue(const config& cfg);
-/// Element-at-a-time hyperqueue pipeline (baseline for the slice bench).
-result run_hyperqueue_element(const config& cfg);
+/// Build the database and execute describe_pipeline's graph on backend `b`
+/// (pipeline/runner.hpp) with `cfg.threads` workers.
+result run(const config& cfg, pipe::backend b);
+/// Task-dataflow figure baseline (hand-rolled), input not overlapped.
+result run_objects(const config& cfg);
 
 /// Serial per-stage seconds {input, segment, extract, vector, rank, output}
 /// for the Table 1 characterization.

@@ -1,9 +1,9 @@
 // The five ferret implementations. All must produce the serial checksum:
 // the output stage is order-sensitive, so this verifies in-order delivery.
 //
-// The pthreads/tbb/hyperqueue variants share one declarative description
-// (describe_pipeline) with the four middle kernels fused into a single
-// parallel stage — the shape the hand-rolled hyperqueue variant used. (The
+// Every runner backend executes one declarative description
+// (describe_pipeline, via run()) with the four middle kernels fused into a
+// single parallel stage — the shape the hand-rolled hyperqueue variant used. (The
 // PARSEC pthreads build ran four separate pools; the fused stage gives the
 // pthreads baseline one pool of `threads` workers instead, see README.)
 // Only the serial reference and the task-dataflow "objects" comparison
@@ -84,9 +84,7 @@ void describe_pipeline(const config& cfg, const feature_db& db,
   g.connect(middle, output, opts);
 }
 
-namespace {
-
-result run_declarative(const config& cfg, pipe::backend b) {
+result run(const config& cfg, pipe::backend b) {
   feature_db db = build_db(cfg);
   result r;
   pipe::graph g;
@@ -96,28 +94,7 @@ result run_declarative(const config& cfg, pipe::backend b) {
   opt.seed = cfg.seed;
   const pipe::exec_result ex = pipe::execute(g, b, opt);
   r.seconds = ex.seconds;
-  r.seg_allocated = ex.pool.allocated;
-  r.seg_recycled = ex.pool.recycled;
-  r.seg_high_water = ex.pool.high_water;
   return r;
-}
-
-}  // namespace
-
-result run_pthreads(const config& cfg) {
-  return run_declarative(cfg, pipe::backend::pthreads);
-}
-
-result run_tbb(const config& cfg) {
-  return run_declarative(cfg, pipe::backend::tbb);
-}
-
-result run_hyperqueue(const config& cfg) {
-  return run_declarative(cfg, pipe::backend::hyperqueue);
-}
-
-result run_hyperqueue_element(const config& cfg) {
-  return run_declarative(cfg, pipe::backend::hyperqueue_element);
 }
 
 // ---------------------------------------------------------------- objects

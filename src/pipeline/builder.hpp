@@ -129,8 +129,9 @@ class emit {
 namespace detail {
 
 /// Runtime state of one run's admission window, shared by the source-side
-/// gate (admit) and the sink-side retire counter (complete). The runner
-/// owns one per execution and reads the counters into exec_result.
+/// gate (admit) and the sink-side retire counter (complete). pipe::execute
+/// creates one per run, installs it in the graph for the stage wrappers
+/// (graph::source / graph::sink) and reads the counters into exec_result.
 struct admission_ctl {
   explicit admission_ctl(admission_opts o) : opts(o) {}
 
@@ -173,6 +174,28 @@ struct admission_ctl {
     const std::uint64_t done = completed.load(std::memory_order_acquire);
     const std::uint64_t adm = admitted.load(std::memory_order_relaxed);
     return adm > done ? adm - done : 0;
+  }
+};
+
+/// Where a graph's stage wrappers find the admission gate of the run in
+/// progress. pipe::execute installs the gate for exactly one run and clears
+/// it on every exit path, so it is null between runs and under
+/// admission_policy::none. The graph holds the slot on the heap, so the
+/// wrappers' pointer to it survives a move of the graph.
+struct gate_slot {
+  admission_ctl* ctl = nullptr;
+
+  /// Run one stage activation. A throw cancels the gate before it
+  /// propagates: a source parked on a full window would otherwise wait for
+  /// a sink that is tearing down.
+  template <typename F>
+  void guard(F&& activation) const {
+    try {
+      activation();
+    } catch (...) {
+      if (ctl != nullptr) ctl->cancel();
+      throw;
+    }
   }
 };
 
@@ -227,11 +250,6 @@ struct hq_knobs {
   std::size_t out_batch = 16;
   bool in_bulk = true;
   bool out_bulk = true;
-  /// Admission gate, set by the runner on the source stage only: every
-  /// emission passes admission_ctl::admit() and is dropped when it sheds.
-  admission_ctl* admit = nullptr;
-  /// Retire counter, set by the runner on the sink stage only.
-  admission_ctl* complete = nullptr;
 };
 
 /// Channel endpoints handed to a stage's hyperqueue lowering (null at the
@@ -247,9 +265,8 @@ struct hq_stage_ctx {
 template <typename Out>
 class hq_emitter {
  public:
-  hq_emitter(pushdep<Out>& out, std::size_t batch, bool bulk,
-             admission_ctl* admit = nullptr)
-      : out_(out), batch_(batch ? batch : 1), bulk_(bulk), admit_(admit) {}
+  hq_emitter(pushdep<Out>& out, std::size_t batch, bool bulk)
+      : out_(out), batch_(batch ? batch : 1), bulk_(bulk) {}
   hq_emitter(const hq_emitter&) = delete;
   hq_emitter& operator=(const hq_emitter&) = delete;
   ~hq_emitter() {
@@ -272,9 +289,6 @@ class hq_emitter {
   }
 
   void put(Out&& v) {
-    // Admission gate (source stage only): a shed token dies here, before it
-    // touches the queue — bounded memory is the point.
-    if (admit_ != nullptr && !admit_->admit()) return;
     if (!bulk_) {
       out_.push(std::move(v));
       return;
@@ -295,7 +309,6 @@ class hq_emitter {
   std::vector<Out> buf_;
   std::size_t batch_;
   bool bulk_;
-  admission_ctl* admit_;
 };
 
 // ---- hyperqueue stage tasks ------------------------------------------------
@@ -318,7 +331,7 @@ using sink_body = std::function<void(In&&)>;
 template <typename Out>
 void hq_source_task(const source_body<Out>* body, hq_knobs k,
                     pushdep<Out> out) {
-  hq_emitter<Out> em(out, k.out_batch, k.out_bulk, k.admit);
+  hq_emitter<Out> em(out, k.out_batch, k.out_bulk);
   (*body)(em.handle());
 }
 
@@ -385,17 +398,13 @@ void hq_sink_task(const sink_body<In>* body, hq_knobs k, popdep<In> in) {
     for (;;) {
       auto rs = in.get_read_slice(k.in_batch);
       if (rs.empty()) break;
-      for (auto& v : rs) {
-        (*body)(std::move(v));
-        if (k.complete != nullptr) k.complete->complete();
-      }
+      for (auto& v : rs) (*body)(std::move(v));
       rs.release();
     }
   } else {
     while (!in.empty()) {
       In v = in.pop();
       (*body)(std::move(v));
-      if (k.complete != nullptr) k.complete->complete();
     }
   }
 }
@@ -462,13 +471,28 @@ class graph {
     // Every stage body runs behind a named fault site ("stage.<name>") on
     // every backend — the injection choke point the declarative front-end
     // buys us. Cost when no plan is installed: one relaxed load per
-    // activation.
+    // activation. The source and sink wrappers are also the admission
+    // boundary of every backend: each source emission passes the run's
+    // gate, and a shed token is dropped here, before any backend's emit
+    // sees it (pthreads sequence numbers stay dense, no queue is touched).
+    // Without a gate the body gets the backend's emit handle unchanged.
     detail::source_body<Out> fn =
-        [site = "stage." + name,
+        [site = "stage." + name, gate = gate_.get(),
          inner = detail::source_body<Out>(std::forward<F>(body))](
             emit<Out> out) {
-          hq::fault::crashpoint(site);
-          inner(out);
+          gate->guard([&] {
+            hq::fault::crashpoint(site);
+            detail::admission_ctl* ctl = gate->ctl;
+            if (ctl == nullptr) return inner(out);
+            struct gated {
+              detail::admission_ctl* ctl;
+              emit<Out> next;
+            } g{ctl, out};
+            inner(emit<Out>(&g, [](void* c, Out&& v) {
+              auto* gd = static_cast<gated*>(c);
+              if (gd->ctl->admit()) gd->next(std::move(v));
+            }));
+          });
         };
     detail::stage_rec s;
     s.name = std::move(name);
@@ -511,11 +535,16 @@ class graph {
   /// observe arrival order. Parallel sinks are rejected at compile().
   template <typename In, typename F>
   stage_id sink(std::string name, stage_kind kind, F&& body) {
+    // Each delivery that returns retires one token from the run's
+    // admission window.
     detail::sink_body<In> fn =
-        [site = "stage." + name,
+        [site = "stage." + name, gate = gate_.get(),
          inner = detail::sink_body<In>(std::forward<F>(body))](In&& v) {
-          hq::fault::crashpoint(site);
-          inner(std::move(v));
+          gate->guard([&] {
+            hq::fault::crashpoint(site);
+            inner(std::move(v));
+          });
+          if (detail::admission_ctl* ctl = gate->ctl) ctl->complete();
         };
     detail::stage_rec s;
     s.name = std::move(name);
@@ -570,16 +599,22 @@ class graph {
   /// instead of being passed in by callers.
   [[nodiscard]] hq::queue_graph build_queue_graph() const;
 
+  /// Install (or clear, with null) the admission gate the stage wrappers
+  /// consult. pipe::execute owns the gate and scopes it to one run.
+  void set_admission(detail::admission_ctl* ctl) noexcept { gate_->ctl = ctl; }
+
  private:
   template <typename In, typename Out, typename F>
   stage_id add_middle(std::string name, stage_kind kind, F&& body,
                       bool multi_out) {
     detail::stage_body<In, Out> fn =
-        [site = "stage." + name,
+        [site = "stage." + name, gate = gate_.get(),
          inner = detail::stage_body<In, Out>(std::forward<F>(body))](
             In&& v, emit<Out> out) {
-          hq::fault::crashpoint(site);
-          inner(std::move(v), out);
+          gate->guard([&] {
+            hq::fault::crashpoint(site);
+            inner(std::move(v), out);
+          });
         };
     detail::stage_rec s;
     s.name = std::move(name);
@@ -630,6 +665,8 @@ class graph {
 
   std::vector<detail::stage_rec> stages_;
   std::vector<detail::edge_rec> edges_;
+  std::unique_ptr<detail::gate_slot> gate_ =
+      std::make_unique<detail::gate_slot>();
 };
 
 }  // namespace hq::pipe

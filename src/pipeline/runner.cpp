@@ -64,7 +64,7 @@ using detail::stage_rec;
 // the emitter's stack. No queues, no heap tokens — this is the elision whose
 // output order defines correctness for every parallel backend.
 
-exec_result run_serial_elision(graph& g, detail::admission_ctl* ctl = nullptr) {
+exec_result run_serial_elision(graph& g) {
   graph::plan p = g.compile();
   const std::size_t n = p.order.size();
   std::vector<std::function<void(void*)>> deliver(n);
@@ -78,21 +78,6 @@ exec_result run_serial_elision(graph& g, detail::admission_ctl* ctl = nullptr) {
     }
     const stage_rec& s = g.stage_at(p.order[i]);
     deliver[i] = [&s, &next, i](void* tok) { s.run_value(tok, next[i]); };
-  }
-  if (ctl != nullptr) {
-    // Same boundary as the parallel backends: gate each source emission,
-    // retire at the sink. Tokens flow source->sink within one emit call
-    // here, so in_flight never exceeds one and the elision stays the
-    // lossless reference under any admission policy.
-    auto sink = std::move(deliver[n - 1]);
-    deliver[n - 1] = [sink, ctl](void* tok) {
-      sink(tok);
-      ctl->complete();
-    };
-    auto first = std::move(deliver[1]);
-    deliver[1] = [first, ctl](void* tok) {
-      if (ctl->admit()) first(tok);
-    };
   }
   exec_result res;
   util::stopwatch sw;
@@ -126,8 +111,7 @@ detail::hq_knobs knobs_for(const graph& g, const graph::plan& p,
 }
 
 exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
-                                   bool force_element,
-                                   detail::admission_ctl* ctl) {
+                                   bool force_element) {
   graph::plan p = g.compile();
   const std::size_t n = p.order.size();
 
@@ -167,10 +151,6 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
       ctx.in = i > 0 ? chans[i - 1].get() : nullptr;
       ctx.out = i + 1 < n ? chans[i].get() : nullptr;
       ctx.knobs = knobs_for(g, p, i, force_element);
-      // Admission boundary: gate at the source's emitter, retire at the
-      // sink's pop loop.
-      if (i == 0) ctx.knobs.admit = ctl;
-      if (i + 1 == n) ctx.knobs.complete = ctl;
       g.stage_at(p.order[i]).hq_spawn(ctx);
     }
     sync();
@@ -214,16 +194,12 @@ struct pth_fail {
   std::mutex mu;
   std::exception_ptr err;
   std::vector<bounded_queue<prec>*> queues;
-  detail::admission_ctl* ctl = nullptr;
 
   void fail(std::exception_ptr e) noexcept {
     {
       std::lock_guard<std::mutex> lk(mu);
       if (!err) err = std::move(e);
     }
-    // The source may be parked on a full admission window; the sink that
-    // would open it is tearing down. Cancel first so it sheds and exits.
-    if (ctl != nullptr) ctl->cancel();
     for (auto* q : queues) q->close();
   }
 
@@ -429,12 +405,9 @@ void pth_inorder_stage(const stage_rec& s, unsigned in_depth,
 }
 
 void pth_sink_stage(const stage_rec& s, unsigned in_depth,
-                    bounded_queue<prec>& in, detail::admission_ctl* ctl) {
+                    bounded_queue<prec>& in) {
   erased_emit none;
-  auto retire = [&](void* payload) {
-    s.run_heap(payload, none);
-    if (ctl != nullptr) ctl->complete();
-  };
+  auto retire = [&](void* payload) { s.run_heap(payload, none); };
   if (s.kind == stage_kind::serial_in_order) {
     reorderer ro(in_depth);
     auto drop_pending = [&] {
@@ -461,8 +434,7 @@ void pth_sink_stage(const stage_rec& s, unsigned in_depth,
   }
 }
 
-exec_result run_pthreads_backend(graph& g, const exec_options& opt,
-                                 detail::admission_ctl* ctl) {
+exec_result run_pthreads_backend(graph& g, const exec_options& opt) {
   graph::plan p = g.compile();
   const std::size_t n = p.order.size();
   const unsigned workers = opt.workers ? opt.workers : 1;
@@ -474,7 +446,6 @@ exec_result run_pthreads_backend(graph& g, const exec_options& opt,
         std::make_unique<bounded_queue<prec>>(g.edge_at(e).opts.capacity));
 
   pth_fail fl;
-  fl.ctl = ctl;
   fl.queues.reserve(qs.size());
   for (auto& q : qs) fl.queues.push_back(q.get());
 
@@ -486,9 +457,9 @@ exec_result run_pthreads_backend(graph& g, const exec_options& opt,
     const unsigned in_depth = p.edge_depth[i - 1];
     auto* in = qs[i - 1].get();
     if (s.is_sink) {
-      stage_threads[i].emplace_back([&fl, &s, in_depth, in, ctl] {
+      stage_threads[i].emplace_back([&fl, &s, in_depth, in] {
         try {
-          pth_sink_stage(s, in_depth, *in, ctl);
+          pth_sink_stage(s, in_depth, *in);
         } catch (...) {
           fl.fail(std::current_exception());
         }
@@ -524,19 +495,12 @@ exec_result run_pthreads_backend(graph& g, const exec_options& opt,
     struct src_ctx {
       bounded_queue<prec>* q;
       void (*destroy)(void*);
-      detail::admission_ctl* ctl;
       std::uint32_t seq = 0;
-    } c{qs[0].get(), src.destroy_out, ctl};
+    } c{qs[0].get(), src.destroy_out};
     erased_emit em;
     em.ctx = &c;
     em.fn = [](void* cp, void* tok) {
       auto* ctx = static_cast<src_ctx*>(cp);
-      if (ctx->ctl != nullptr && !ctx->ctl->admit()) {
-        // Shed before numbering: the stream stays dense, so downstream
-        // reorderers never wait on a sequence slot that will not arrive.
-        if (ctx->destroy) ctx->destroy(tok);
-        return;
-      }
       prec r;
       r.path[0] = ctx->seq++;
       r.depth = 1;
@@ -589,8 +553,7 @@ exec_result run_pthreads_backend(graph& g, const exec_options& opt,
 // A feeder thread adapts the push-style source to the engine's pull-style
 // first filter through a bounded queue, preserving input/compute overlap.
 
-exec_result run_tbb_backend(graph& g, const exec_options& opt,
-                            detail::admission_ctl* ctl) {
+exec_result run_tbb_backend(graph& g, const exec_options& opt) {
   graph::plan p = g.compile();
   const std::size_t n = p.order.size();
   const unsigned workers = opt.workers ? opt.workers : 1;
@@ -614,16 +577,11 @@ exec_result run_tbb_backend(graph& g, const exec_options& opt,
     struct fctx {
       bounded_queue<void*>* q;
       void (*destroy)(void*);
-      detail::admission_ctl* ctl;
-    } c{&feed, src.destroy_out, ctl};
+    } c{&feed, src.destroy_out};
     erased_emit em;
     em.ctx = &c;
     em.fn = [](void* cp, void* tok) {
       auto* ctx = static_cast<fctx*>(cp);
-      if (ctx->ctl != nullptr && !ctx->ctl->admit()) {
-        if (ctx->destroy) ctx->destroy(tok);
-        return;
-      }
       if (!ctx->q->push(tok)) {
         // Feed closed under us: the engine failed. Stop producing.
         if (ctx->destroy) ctx->destroy(tok);
@@ -688,14 +646,13 @@ exec_result run_tbb_backend(graph& g, const exec_options& opt,
     const stage_rec& snk = g.stage_at(p.order[n - 1]);
     pl.add_filter(
         tbbpipe::filter_mode::serial_in_order,
-        [&snk, ctl](void* t) -> void* {
+        [&snk](void* t) -> void* {
           std::unique_ptr<toklist> list(static_cast<toklist*>(t));
           erased_emit none;
           std::size_t done = 0;
           try {
             for (void* v : *list) {
               snk.run_heap(v, none);
-              if (ctl != nullptr) ctl->complete();
               ++done;
             }
           } catch (...) {
@@ -719,9 +676,7 @@ exec_result run_tbb_backend(graph& g, const exec_options& opt,
   }
   res.seconds = sw.seconds();
   // Unblock and retire the feeder (a failed engine stops pulling from the
-  // feed), then reclaim whatever it had buffered. A feeder parked on a full
-  // admission window would never see the feed close — shed it out first.
-  if (run_err != nullptr && ctl != nullptr) ctl->cancel();
+  // feed), then reclaim whatever it had buffered.
   feed.close();
   feeder.join();
   {
@@ -737,26 +692,34 @@ exec_result run_tbb_backend(graph& g, const exec_options& opt,
 }  // namespace
 
 exec_result execute(graph& g, backend b, const exec_options& opt) {
-  // One admission gate per run, shared by the source (admit) and the sink
-  // (complete) ends across every backend lowering.
+  // One admission gate per run. The graph's source and sink wrappers gate
+  // and retire against it on every backend; it is installed for this run
+  // only and cleared on every exit path, a throwing run included.
   std::unique_ptr<detail::admission_ctl> ctl;
   if (opt.admission.policy != admission_policy::none)
     ctl = std::make_unique<detail::admission_ctl>(opt.admission);
+  struct gate_scope {
+    gate_scope(graph& gr, detail::admission_ctl* c) : g(gr) {
+      g.set_admission(c);
+    }
+    ~gate_scope() { g.set_admission(nullptr); }
+    gate_scope(const gate_scope&) = delete;
+    gate_scope& operator=(const gate_scope&) = delete;
+    graph& g;
+  } scope(g, ctl.get());
 
   auto run = [&]() -> exec_result {
     switch (b) {
       case backend::serial:
-        return run_serial_elision(g, ctl.get());
+        return run_serial_elision(g);
       case backend::hyperqueue:
-        return run_hyperqueue_backend(g, opt, /*force_element=*/false,
-                                      ctl.get());
+        return run_hyperqueue_backend(g, opt, /*force_element=*/false);
       case backend::hyperqueue_element:
-        return run_hyperqueue_backend(g, opt, /*force_element=*/true,
-                                      ctl.get());
+        return run_hyperqueue_backend(g, opt, /*force_element=*/true);
       case backend::pthreads:
-        return run_pthreads_backend(g, opt, ctl.get());
+        return run_pthreads_backend(g, opt);
       case backend::tbb:
-        return run_tbb_backend(g, opt, ctl.get());
+        return run_tbb_backend(g, opt);
     }
     throw std::logic_error("pipe::execute: unknown backend");
   };

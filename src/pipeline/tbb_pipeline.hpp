@@ -8,14 +8,16 @@
 // The token bound is the knob that must be tuned to the machine — the
 // scale-freedom critique of the paper (Section 7.1).
 //
-// The engine is type-erased (void* items); make_filter() adds a typed shim.
+// The engine is type-erased (void* items): the runner's tbb backend
+// (pipeline/runner.cpp) adds each filter with add_filter and a destroy hook
+// for its input items.
 //
 // Failure semantics: a filter that throws cancels the run. The engine
 // records the first exception, stops admitting source tokens, reclaims
 // every queued/parked token through the filters' destroy hooks (so
 // in_flight_ can reach zero and the workers drain out), and run() rethrows
 // on the calling thread. Filters must consume their input even when they
-// throw — the typed shim (make_filter) guarantees this via unique_ptr.
+// throw (the runner's filters own it through a unique_ptr).
 #pragma once
 
 #include <atomic>
@@ -25,7 +27,6 @@
 #include <exception>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -94,17 +95,5 @@ class pipeline {
   std::exception_ptr err_;               // first failure (guarded by mu_)
   std::atomic<bool> cancelled_{false};   // lock-free poll for carrying workers
 };
-
-/// Typed filter shim: wraps In* -> Out* functions over the void* engine.
-/// Ownership convention: items are heap-allocated; each filter consumes its
-/// input and returns its output.
-template <typename In, typename Out, typename F>
-std::function<void*(void*)> make_filter(F fn) {
-  return [fn = std::move(fn)](void* p) -> void* {
-    std::unique_ptr<In> in(static_cast<In*>(p));
-    std::unique_ptr<Out> out = fn(std::move(in));
-    return out.release();
-  };
-}
 
 }  // namespace hq::tbbpipe

@@ -7,6 +7,7 @@
 #include "apps/bzip2/bzip2.hpp"
 #include "apps/dedup/dedup.hpp"
 #include "apps/ferret/ferret.hpp"
+#include "pipeline/runner.hpp"
 #include "util/datagen.hpp"
 #include "util/mbzip.hpp"
 
@@ -37,13 +38,13 @@ TEST(FerretApp, SerialIsDeterministic) {
 
 TEST_P(AppParam, FerretPthreadsMatchesSerial) {
   auto cfg = small_ferret(GetParam());
-  EXPECT_EQ(hq::apps::ferret::run_pthreads(cfg).checksum,
+  EXPECT_EQ(hq::apps::ferret::run(cfg, hq::pipe::backend::pthreads).checksum,
             hq::apps::ferret::run_serial(cfg).checksum);
 }
 
 TEST_P(AppParam, FerretTbbMatchesSerial) {
   auto cfg = small_ferret(GetParam());
-  EXPECT_EQ(hq::apps::ferret::run_tbb(cfg).checksum,
+  EXPECT_EQ(hq::apps::ferret::run(cfg, hq::pipe::backend::tbb).checksum,
             hq::apps::ferret::run_serial(cfg).checksum);
 }
 
@@ -55,7 +56,7 @@ TEST_P(AppParam, FerretObjectsMatchesSerial) {
 
 TEST_P(AppParam, FerretHyperqueueMatchesSerial) {
   auto cfg = small_ferret(GetParam());
-  EXPECT_EQ(hq::apps::ferret::run_hyperqueue(cfg).checksum,
+  EXPECT_EQ(hq::apps::ferret::run(cfg, hq::pipe::backend::hyperqueue).checksum,
             hq::apps::ferret::run_serial(cfg).checksum);
 }
 
@@ -96,7 +97,7 @@ TEST_P(AppParam, DedupPthreadsMatchesSerial) {
   auto cfg = small_dedup(GetParam());
   auto input = hq::util::gen_archive(cfg.input_bytes, cfg.dup_fraction, cfg.seed);
   auto serial = hq::apps::dedup::run_serial(cfg, input);
-  auto par = hq::apps::dedup::run_pthreads(cfg, input);
+  auto par = hq::apps::dedup::run(cfg, input, hq::pipe::backend::pthreads);
   EXPECT_EQ(par.output, serial.output);
   EXPECT_EQ(par.total_chunks, serial.total_chunks);
 }
@@ -104,7 +105,7 @@ TEST_P(AppParam, DedupPthreadsMatchesSerial) {
 TEST_P(AppParam, DedupTbbMatchesSerial) {
   auto cfg = small_dedup(GetParam());
   auto input = hq::util::gen_archive(cfg.input_bytes, cfg.dup_fraction, cfg.seed);
-  EXPECT_EQ(hq::apps::dedup::run_tbb(cfg, input).output,
+  EXPECT_EQ(hq::apps::dedup::run(cfg, input, hq::pipe::backend::tbb).output,
             hq::apps::dedup::run_serial(cfg, input).output);
 }
 
@@ -119,7 +120,7 @@ TEST_P(AppParam, DedupHyperqueueMatchesSerial) {
   auto cfg = small_dedup(GetParam());
   auto input = hq::util::gen_archive(cfg.input_bytes, cfg.dup_fraction, cfg.seed);
   auto serial = hq::apps::dedup::run_serial(cfg, input);
-  auto par = hq::apps::dedup::run_hyperqueue(cfg, input);
+  auto par = hq::apps::dedup::run(cfg, input, hq::pipe::backend::hyperqueue);
   EXPECT_EQ(par.output, serial.output);
   auto back = hq::apps::dedup::reassemble(par.output.data(), par.output.size());
   EXPECT_EQ(back, input);
@@ -167,10 +168,10 @@ TEST_P(AppParam, BzipAllVariantsMatchSerial) {
   auto cfg = small_bzip(GetParam());
   auto input = hq::util::gen_text(cfg.input_bytes, cfg.seed);
   auto serial = hq::apps::bzip2::run_serial(cfg, input);
-  EXPECT_EQ(hq::apps::bzip2::run_pthreads(cfg, input).output, serial.output);
-  EXPECT_EQ(hq::apps::bzip2::run_tbb(cfg, input).output, serial.output);
+  for (hq::pipe::backend b : hq::pipe::parallel_backends())
+    EXPECT_EQ(hq::apps::bzip2::run(cfg, input, b).output, serial.output)
+        << hq::pipe::to_string(b);
   EXPECT_EQ(hq::apps::bzip2::run_objects(cfg, input).output, serial.output);
-  EXPECT_EQ(hq::apps::bzip2::run_hyperqueue(cfg, input).output, serial.output);
   EXPECT_EQ(hq::apps::bzip2::run_hyperqueue_split(cfg, input).output,
             serial.output);
 }
@@ -186,7 +187,8 @@ TEST(BzipApp, LoopSplitBoundsQueueGrowth) {
   cfg.split_batch = 4;
   cfg.split_window = 2;
   auto input = hq::util::gen_text(cfg.input_bytes, cfg.seed);
-  auto unsplit = hq::apps::bzip2::run_hyperqueue(cfg, input);
+  auto unsplit =
+      hq::apps::bzip2::run(cfg, input, hq::pipe::backend::hyperqueue);
   auto split = hq::apps::bzip2::run_hyperqueue_split(cfg, input);
   EXPECT_EQ(unsplit.output, split.output);
   EXPECT_LE(split.seg_high_water, unsplit.seg_high_water)

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -279,9 +280,7 @@ struct admit_fixture {
 };
 
 TEST(Admission, ShedConservesAndBoundsDelivery) {
-  for (hq::pipe::backend b :
-       {hq::pipe::backend::hyperqueue, hq::pipe::backend::pthreads,
-        hq::pipe::backend::tbb}) {
+  for (hq::pipe::backend b : hq::pipe::parallel_backends()) {
     admit_fixture fx(1000, /*sink_spin=*/2000);
     hq::pipe::exec_options opt;
     opt.workers = 2;
@@ -296,9 +295,7 @@ TEST(Admission, ShedConservesAndBoundsDelivery) {
 }
 
 TEST(Admission, BlockDeliversEverything) {
-  for (hq::pipe::backend b :
-       {hq::pipe::backend::hyperqueue, hq::pipe::backend::pthreads,
-        hq::pipe::backend::tbb}) {
+  for (hq::pipe::backend b : hq::pipe::parallel_backends()) {
     admit_fixture fx(600, /*sink_spin=*/500);
     hq::pipe::exec_options opt;
     opt.workers = 2;
@@ -336,6 +333,83 @@ TEST(Admission, SerialElisionNeverSheds) {
   EXPECT_EQ(res.admitted, 300u);
   EXPECT_EQ(res.shed, 0u);
   EXPECT_EQ(fx.delivered.load(), 300);
+}
+
+TEST(Admission, GateDoesNotOutliveItsRun) {
+  // The gate is installed for one run only: a later run of the same graph
+  // without admission must neither shed nor count.
+  std::vector<hq::pipe::backend> all = {hq::pipe::backend::serial};
+  for (hq::pipe::backend b : hq::pipe::parallel_backends()) all.push_back(b);
+  for (hq::pipe::backend b : all) {
+    admit_fixture fx(400, /*sink_spin=*/2000);
+    hq::pipe::exec_options opt;
+    opt.workers = 2;
+    opt.admission.policy = hq::pipe::admission_policy::shed;
+    opt.admission.window = 1;
+    auto gated = hq::pipe::execute(fx.g, b, opt);
+    EXPECT_EQ(gated.admitted + gated.shed, 400u) << hq::pipe::to_string(b);
+
+    fx.delivered.store(0);
+    opt.admission.policy = hq::pipe::admission_policy::none;
+    auto open = hq::pipe::execute(fx.g, b, opt);
+    EXPECT_EQ(fx.delivered.load(), 400) << hq::pipe::to_string(b);
+    EXPECT_EQ(open.admitted, 0u) << hq::pipe::to_string(b);
+    EXPECT_EQ(open.shed, 0u) << hq::pipe::to_string(b);
+  }
+}
+
+TEST(Admission, SinkThrowUnderBlockWindowRethrowsAndRecovers) {
+  // A failing sink stops retiring tokens while the source is parked on a
+  // full block window. The stage wrapper cancels the gate as the throw
+  // leaves the sink, so the source sheds out and execute() rethrows
+  // promptly; a fresh run then matches the elision.
+  constexpr int kItems = 2000;
+  struct fixture {
+    std::vector<int> seen;
+    int throw_at;
+    hq::pipe::graph g;
+
+    explicit fixture(int at) : throw_at(at) {
+      auto src = g.source<int>("src", [](hq::pipe::emit<int> out) {
+        for (int i = 0; i < kItems; ++i) out(int{i});
+      });
+      auto sq = g.stage<int, int>("sq", hq::pipe::stage_kind::parallel,
+                                  [](int&& v, hq::pipe::emit<int> out) {
+                                    out(v * v);
+                                  });
+      auto snk = g.sink<int>("snk", hq::pipe::stage_kind::serial_in_order,
+                             [this](int&& v) {
+                               if (static_cast<int>(seen.size()) == throw_at)
+                                 throw std::runtime_error("sink failed");
+                               seen.push_back(v);
+                             });
+      g.connect(src, sq);
+      g.connect(sq, snk);
+    }
+  };
+  fixture ref(-1);
+  (void)hq::pipe::execute(ref.g, hq::pipe::backend::serial);
+  ASSERT_EQ(ref.seen.size(), static_cast<std::size_t>(kItems));
+
+  for (hq::pipe::backend b : hq::pipe::parallel_backends()) {
+    hq::pipe::exec_options opt;
+    opt.workers = 2;
+    opt.admission.policy = hq::pipe::admission_policy::block;
+    opt.admission.window = 2;
+
+    fixture failing(/*at=*/50);
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_THROW((void)hq::pipe::execute(failing.g, b, opt), std::runtime_error)
+        << hq::pipe::to_string(b);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5))
+        << hq::pipe::to_string(b);
+
+    fixture fresh(-1);
+    auto res = hq::pipe::execute(fresh.g, b, opt);
+    EXPECT_EQ(fresh.seen, ref.seen) << hq::pipe::to_string(b);
+    EXPECT_EQ(res.admitted, static_cast<std::uint64_t>(kItems))
+        << hq::pipe::to_string(b);
+  }
 }
 
 }  // namespace

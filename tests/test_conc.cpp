@@ -10,8 +10,6 @@
 #include "conc/bounded_queue.hpp"
 #include "conc/chase_lev_deque.hpp"
 #include "conc/inline_vec.hpp"
-#include "conc/ordered_commit.hpp"
-#include "conc/spin_barrier.hpp"
 #include "conc/spinlock.hpp"
 #include "conc/spsc_ring.hpp"
 
@@ -263,44 +261,6 @@ TEST(BoundedQueue, MpmcStressConservesItems) {
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
-// ---------------------------------------------------------- ordered_commit
-
-TEST(OrderedCommit, ReleasesInSequenceOrder) {
-  hq::ordered_commit<int> oc;
-  oc.put(2, 20);
-  oc.put(0, 0);
-  EXPECT_EQ(oc.parked(), 2u);
-  auto run = oc.drain_ready();
-  ASSERT_EQ(run.size(), 1u);  // only seq 0 is ready; 2 waits for 1
-  EXPECT_EQ(run[0], 0);
-  oc.put(1, 10);
-  run = oc.drain_ready();
-  ASSERT_EQ(run.size(), 2u);
-  EXPECT_EQ(run[0], 10);
-  EXPECT_EQ(run[1], 20);
-}
-
-TEST(OrderedCommit, BlockingTakeAcrossThreads) {
-  hq::ordered_commit<int> oc;
-  std::vector<int> got;
-  std::thread consumer([&] {
-    while (auto v = oc.take_next()) got.push_back(*v);
-  });
-  // Insert out of order from two threads.
-  std::thread p1([&] {
-    for (int i = 9; i >= 0; i -= 2) oc.put(static_cast<std::uint64_t>(i), i);
-  });
-  std::thread p2([&] {
-    for (int i = 8; i >= 0; i -= 2) oc.put(static_cast<std::uint64_t>(i), i);
-  });
-  p1.join();
-  p2.join();
-  oc.finish();
-  consumer.join();
-  ASSERT_EQ(got.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
-}
-
 // -------------------------------------------------------------- inline_vec
 
 TEST(InlineVec, StaysInlineThenSpills) {
@@ -342,30 +302,6 @@ TEST(InlineVec, MoveFromInlineStorage) {
   ASSERT_EQ(w.size(), 1u);
   EXPECT_EQ(*w[0], 7);
   EXPECT_TRUE(v.empty());  // NOLINT(bugprone-use-after-move): documented state
-}
-
-// ------------------------------------------------------------ spin_barrier
-
-TEST(SpinBarrier, SynchronizesPhases) {
-  constexpr int kThreads = 4, kPhases = 50;
-  hq::spin_barrier bar(kThreads);
-  std::atomic<int> phase_counts[kPhases];
-  for (auto& c : phase_counts) c.store(0);
-  std::vector<std::thread> threads;
-  std::atomic<bool> ok{true};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int p = 0; p < kPhases; ++p) {
-        phase_counts[p].fetch_add(1);
-        bar.arrive_and_wait();
-        // After the barrier, every participant must have arrived.
-        if (phase_counts[p].load() != kThreads) ok.store(false);
-        bar.arrive_and_wait();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(ok.load());
 }
 
 // ---------------------------------------------------------------- spinlock
