@@ -178,7 +178,7 @@ void BM_ParallelProducersPlaced(benchmark::State& state,
   const int leaves = static_cast<int>(state.range(0));
   constexpr int kTotal = 64000;
   const int per_leaf = kTotal / leaves;
-  hq::scheduler sched(2, {policy, nullptr, {}});
+  hq::scheduler sched(2, {policy, nullptr});
   for (auto _ : state) {
     long sum = 0;
     sched.run([&] {
@@ -210,33 +210,14 @@ BENCHMARK_CAPTURE(BM_ParallelProducersPlaced, scatter,
     ->Arg(8)
     ->Arg(64);
 
-/// Pick a CPU pair from the machine model at a requested topology distance:
-/// `cross_node` = two CPUs on different nodes, otherwise two CPUs sharing
-/// an LLC. Falls back to the nearest available pair (single-node machines
-/// have no cross-node pair; the record still exists and simply measures the
-/// same placement as same_llc).
-std::vector<unsigned> pick_pair(bool cross_node) {
-  const hq::topology& t = hq::topology::system();
-  const auto& cpus = t.cpus();
-  if (cpus.size() < 2) return {cpus.empty() ? 0u : cpus[0].cpu};
-  for (std::size_t i = 0; i < cpus.size(); ++i) {
-    for (std::size_t j = i + 1; j < cpus.size(); ++j) {
-      if (cross_node ? cpus[i].node != cpus[j].node
-                     : cpus[i].llc == cpus[j].llc) {
-        return {cpus[i].cpu, cpus[j].cpu};
-      }
-    }
-  }
-  return {cpus.front().cpu, cpus.back().cpu};
-}
-
-// Producer/consumer pair at a controlled topology distance: same LLC vs
-// different nodes. The element stream crosses exactly the boundary the
-// explicit pinning chooses, so the arm difference is the cache/interconnect
-// cost the placement policies are designed to manage.
-void BM_PairPlacement(benchmark::State& state, bool cross_node) {
-  hq::scheduler sched(
-      2, {hq::placement_policy::compact, nullptr, pick_pair(cross_node)});
+// Producer/consumer pair at a controlled topology distance. Two workers
+// under `compact` share a core or an LLC; under `scatter` they sit on
+// different nodes (on a single-node machine both arms measure the same
+// placement). The element stream crosses exactly the boundary the policy
+// chooses, so the arm difference is the cache/interconnect cost the
+// placement policies are designed to manage.
+void BM_PairPlacement(benchmark::State& state, hq::placement_policy policy) {
+  hq::scheduler sched(2, {policy, nullptr});
   constexpr int kTotal = 64000;
   for (auto _ : state) {
     long sum = 0;
@@ -258,8 +239,8 @@ void BM_PairPlacement(benchmark::State& state, bool cross_node) {
   }
   state.SetItemsProcessed(state.iterations() * kTotal);
 }
-BENCHMARK_CAPTURE(BM_PairPlacement, same_llc, false);
-BENCHMARK_CAPTURE(BM_PairPlacement, cross_node, true);
+BENCHMARK_CAPTURE(BM_PairPlacement, same_llc, hq::placement_policy::compact);
+BENCHMARK_CAPTURE(BM_PairPlacement, cross_node, hq::placement_policy::scatter);
 
 /// Steady-state probe: a producer/consumer ring that stays in step must
 /// recycle one segment and a bounded set of qattaches — no fresh segment or
@@ -287,7 +268,7 @@ struct probe_result {
 void run_locality_probe(bool quick, probe_result& pr) {
   const int rounds = quick ? 8 : 32;
   const hq::topology topo = hq::topology::synthetic("flat");
-  hq::scheduler sched(2, {hq::placement_policy::compact, &topo, {}});
+  hq::scheduler sched(2, {hq::placement_policy::compact, &topo});
   long total = 0;
   sched.run([&] {
     for (int r = 0; r < rounds; ++r) {

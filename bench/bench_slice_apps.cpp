@@ -18,10 +18,10 @@
 // conformance tests gate. Only the split-pipeline pool probe stays on its
 // hand-rolled variant (the split shape is not a linear chain).
 //
-// Knobs: --quick (smoke sizes), HQ_SLICE_BATCH (default 16).
+// Knobs: --quick (smoke sizes). Every app moves kSliceBatch elements per
+// slice.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,6 +37,7 @@
 namespace {
 
 constexpr unsigned kWorkers[] = {1, 2, 4, 8};
+constexpr std::size_t kSliceBatch = 16;
 
 struct run_record {
   unsigned workers = 0;
@@ -52,14 +53,6 @@ struct app_record {
   std::string name;
   std::vector<run_record> runs;
 };
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  if (const char* env = std::getenv(name)) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return fallback;
-}
 
 /// Time element vs slice at each worker count, keeping the fastest of
 /// `reps` repetitions per variant; correctness is accumulated over every
@@ -106,7 +99,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::string(argv[i]) == "--json") json_path = argv[i + 1];
   }
-  const std::size_t batch = env_size("HQ_SLICE_BATCH", 16);
   // Oversubscribed hosts make single timings noisy; keep the fastest of a
   // few repetitions (correctness is checked on every repetition).
   const int reps = quick ? 1 : 3;
@@ -116,7 +108,7 @@ int main(int argc, char** argv) {
   hq::apps::bzip2::config bz;
   bz.input_bytes = quick ? (256u << 10) : (2u << 20);
   bz.block_bytes = 1u << 10;  // many small blocks: queue-bound
-  bz.slice_batch = batch;
+  bz.slice_batch = kSliceBatch;
   auto bz_input = hq::util::gen_text(bz.input_bytes, bz.seed);
   auto bz_serial = hq::apps::bzip2::run_serial(bz, bz_input);
 
@@ -126,7 +118,10 @@ int main(int argc, char** argv) {
     hq::apps::bzip2::result r;
     hq::pipe::graph g;
     hq::apps::bzip2::describe_pipeline(c, bz_input, &r, g);
-    const auto ex = hq::pipe::execute(g, b, {.workers = p, .seed = c.seed});
+    hq::pipe::exec_options eo;
+    eo.workers = p;
+    eo.seed = c.seed;
+    const auto ex = hq::pipe::execute(g, b, eo);
     return std::pair{ex.seconds, r.output == bz_serial.output};
   };
   auto bz_rec = measure_app(
@@ -203,7 +198,7 @@ int main(int argc, char** argv) {
   dd.fine_max = 512;
   dd.dup_fraction = 0.9;  // few unique payloads: compression stays off the
                           // critical path so queue overheads are visible
-  dd.slice_batch = batch;
+  dd.slice_batch = kSliceBatch;
   auto dd_input = hq::util::gen_archive(dd.input_bytes, dd.dup_fraction, dd.seed);
   auto dd_serial = hq::apps::dedup::run_serial(dd, dd_input);
 
@@ -214,7 +209,10 @@ int main(int argc, char** argv) {
     hq::apps::dedup::dedup_table table;
     hq::pipe::graph g;
     hq::apps::dedup::describe_pipeline(c, dd_input, &table, &r, g);
-    const auto ex = hq::pipe::execute(g, b, {.workers = p, .seed = c.seed});
+    hq::pipe::exec_options eo;
+    eo.workers = p;
+    eo.seed = c.seed;
+    const auto ex = hq::pipe::execute(g, b, eo);
     return std::pair{ex.seconds, r.output == dd_serial.output};
   };
   auto dd_rec = measure_app(
@@ -231,7 +229,7 @@ int main(int argc, char** argv) {
   fr.db_entries = 32;
   fr.dims = 8;
   fr.topk = 4;
-  fr.slice_batch = batch;
+  fr.slice_batch = kSliceBatch;
   fr.threads = 1;
   auto fr_serial = hq::apps::ferret::run_serial(fr);
   const auto fr_db = hq::apps::ferret::build_db(fr);
@@ -242,7 +240,10 @@ int main(int argc, char** argv) {
     std::uint64_t checksum = 0;
     hq::pipe::graph g;
     hq::apps::ferret::describe_pipeline(c, fr_db, &checksum, g);
-    const auto ex = hq::pipe::execute(g, b, {.workers = p, .seed = c.seed});
+    hq::pipe::exec_options eo;
+    eo.workers = p;
+    eo.seed = c.seed;
+    const auto ex = hq::pipe::execute(g, b, eo);
     return std::pair{ex.seconds, checksum == fr_serial.checksum};
   };
   auto fr_rec = measure_app(
@@ -264,7 +265,7 @@ int main(int argc, char** argv) {
   if (FILE* f = std::fopen(json_path.c_str(), "w")) {
     std::fprintf(f, "{\n  \"bench\": \"slice_apps\",\n  \"quick\": %s,\n",
                  quick ? "true" : "false");
-    std::fprintf(f, "  \"slice_batch\": %zu,\n", batch);
+    std::fprintf(f, "  \"slice_batch\": %zu,\n", kSliceBatch);
     std::fprintf(f, "  \"apps\": [\n");
     bool first_app = true;
     for (const auto* app : {&bz_rec, &dd_rec, &fr_rec}) {

@@ -37,11 +37,8 @@ struct config {
   unsigned threads = 1;
   std::uint64_t seed = 7;
   std::size_t slice_batch = 16;  // records moved per queue slice (Section 5.2)
-  /// Coarse chunks per nested pipeline (hyperqueue variants): one local
-  /// queue and one refine/dedup task pair serve this many consecutive
-  /// coarse chunks, so the per-pipeline setup cost (queue construction,
-  /// attachments, spawns) amortizes over a stream of batch * fine-chunk
-  /// records instead of being paid per coarse chunk.
+  /// Slice batch of the fragment -> refine edge: how many coarse chunks
+  /// one queue slice, and so one refine child task, carries.
   std::size_t coarse_batch = 8;
 };
 

@@ -83,12 +83,11 @@ void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input
                                     ++r->total_chunks;
                                   });
 
-  // Coarse tasks move in coarse_batch groups (the nested-pipeline batch of
-  // the hand-rolled variant); record edges keep the PARSEC queue bounds and
-  // the local-queue/write-queue segment sizes.
+  // Coarse tasks move in coarse_batch groups; record edges keep the PARSEC
+  // queue bounds and the local-queue/write-queue segment sizes.
   pipe::edge_opts frag_edge;
   frag_edge.capacity = 32;
-  frag_edge.slice_batch = cfg.coarse_batch > 0 ? cfg.coarse_batch : 1;
+  frag_edge.slice_batch = cfg.coarse_batch;
   g.connect(fragment, refine, frag_edge);
 
   pipe::edge_opts refine_edge;

@@ -1,111 +1,147 @@
-// Built-in app registrations for the generic pipeline runner.
+// The app table behind run_app.
 //
-// Each app_instance owns its config, synthesized input and result for one
-// run; describe() forwards to the app's describe_pipeline and digest()
-// renders the output the equality gate compares (byte stream for
-// bzip2/dedup, checksum for ferret). Sizes: quick = test-scale inputs
-// (conformance matrix, sanitizer CI), full = bench-scale.
+// Each entry builds its app at test scale, executes the declared pipeline
+// and returns the output digest the equality gate compares (byte stream
+// for bzip2/dedup, checksum for ferret). Inputs are test-scale: the
+// conformance matrix and the sanitizer CI run every app on every backend.
+#include "apps/registry.hpp"
+
+#include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 
 #include "apps/bzip2/bzip2.hpp"
 #include "apps/dedup/dedup.hpp"
 #include "apps/ferret/ferret.hpp"
-#include "pipeline/runner.hpp"
+#include "sched/watchdog.hpp"
 #include "util/datagen.hpp"
 
-namespace hq::pipe {
+namespace hq::apps {
 
 namespace {
 
-class bzip2_app final : public app_instance {
- public:
-  explicit bzip2_app(const app_params& p) {
-    cfg_.input_bytes = p.quick ? (256u << 10) : (2u << 20);
-    cfg_.block_bytes = p.quick ? (8u << 10) : (32u << 10);
-    cfg_.threads = p.workers;
-    cfg_.seed ^= p.seed;
-    input_ = util::gen_text(cfg_.input_bytes, cfg_.seed);
-  }
-  void describe(graph& g) override {
-    apps::bzip2::describe_pipeline(cfg_, input_, &r_, g);
-  }
-  [[nodiscard]] std::string digest() const override {
-    return {r_.output.begin(), r_.output.end()};
-  }
+pipe::exec_options options(const app_params& p) {
+  pipe::exec_options opt;
+  opt.workers = p.workers;
+  opt.seed = p.seed;
+  return opt;
+}
 
- private:
-  apps::bzip2::config cfg_;
-  std::vector<std::uint8_t> input_;
-  apps::bzip2::result r_;
+std::string run_bzip2(const app_params& p, pipe::backend b,
+                      pipe::exec_result* ex) {
+  bzip2::config cfg;
+  cfg.input_bytes = 256u << 10;
+  cfg.block_bytes = 8u << 10;
+  cfg.threads = p.workers;
+  cfg.seed ^= p.seed;
+  const auto input = util::gen_text(cfg.input_bytes, cfg.seed);
+  bzip2::result r;
+  pipe::graph g;
+  bzip2::describe_pipeline(cfg, input, &r, g);
+  *ex = pipe::execute(g, b, options(p));
+  return {r.output.begin(), r.output.end()};
+}
+
+std::string run_dedup(const app_params& p, pipe::backend b,
+                      pipe::exec_result* ex) {
+  dedup::config cfg;
+  cfg.input_bytes = 1u << 20;
+  cfg.coarse_bytes = 64u << 10;
+  cfg.fine_avg_log2 = 11;
+  cfg.fine_min = 256;
+  cfg.fine_max = 8u << 10;
+  cfg.threads = p.workers;
+  cfg.seed ^= p.seed;
+  const auto input =
+      util::gen_archive(cfg.input_bytes, cfg.dup_fraction, cfg.seed);
+  dedup::dedup_table table;
+  dedup::result r;
+  pipe::graph g;
+  dedup::describe_pipeline(cfg, input, &table, &r, g);
+  *ex = pipe::execute(g, b, options(p));
+  return {r.output.begin(), r.output.end()};
+}
+
+std::string run_ferret(const app_params& p, pipe::backend b,
+                       pipe::exec_result* ex) {
+  ferret::config cfg;
+  cfg.num_images = 96;
+  cfg.image_wh = 16;
+  cfg.db_entries = 256;
+  cfg.dims = 32;
+  cfg.topk = 8;
+  cfg.threads = p.workers;
+  cfg.seed ^= p.seed;
+  const ferret::feature_db db = ferret::build_db(cfg);
+  std::uint64_t checksum = 0;
+  pipe::graph g;
+  ferret::describe_pipeline(cfg, db, &checksum, g);
+  *ex = pipe::execute(g, b, options(p));
+  return std::to_string(checksum);
+}
+
+/// Builds the app from `p`, executes it on `b` into `*ex` and returns its
+/// output digest; a failing run throws out of pipe::execute.
+struct app_entry {
+  const char* name;
+  std::string (*run)(const app_params& p, pipe::backend b,
+                     pipe::exec_result* ex);
 };
 
-class dedup_app final : public app_instance {
- public:
-  explicit dedup_app(const app_params& p) {
-    cfg_.input_bytes = p.quick ? (1u << 20) : (4u << 20);
-    cfg_.coarse_bytes = 64u << 10;
-    cfg_.fine_avg_log2 = 11;
-    cfg_.fine_min = 256;
-    cfg_.fine_max = 8u << 10;
-    cfg_.threads = p.workers;
-    cfg_.seed ^= p.seed;
-    input_ = util::gen_archive(cfg_.input_bytes, cfg_.dup_fraction, cfg_.seed);
-  }
-  void describe(graph& g) override {
-    apps::dedup::describe_pipeline(cfg_, input_, &table_, &r_, g);
-  }
-  [[nodiscard]] std::string digest() const override {
-    return {r_.output.begin(), r_.output.end()};
-  }
-
- private:
-  apps::dedup::config cfg_;
-  std::vector<std::uint8_t> input_;
-  apps::dedup::dedup_table table_;
-  apps::dedup::result r_;
-};
-
-class ferret_app final : public app_instance {
- public:
-  explicit ferret_app(const app_params& p) {
-    cfg_.num_images = p.quick ? 96 : 1024;
-    cfg_.image_wh = 16;
-    cfg_.db_entries = 256;
-    cfg_.dims = 32;
-    cfg_.topk = 8;
-    cfg_.threads = p.workers;
-    cfg_.seed ^= p.seed;
-    db_ = apps::ferret::build_db(cfg_);
-  }
-  void describe(graph& g) override {
-    apps::ferret::describe_pipeline(cfg_, db_, &checksum_, g);
-  }
-  [[nodiscard]] std::string digest() const override {
-    return std::to_string(checksum_);
-  }
-
- private:
-  apps::ferret::config cfg_;
-  apps::ferret::feature_db db_;
-  std::uint64_t checksum_ = 0;
+constexpr app_entry kApps[] = {
+    {"bzip2", run_bzip2},
+    {"dedup", run_dedup},
+    {"ferret", run_ferret},
 };
 
 }  // namespace
 
-void ensure_builtin_apps() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    register_app("bzip2", [](const app_params& p) {
-      return std::unique_ptr<app_instance>(new bzip2_app(p));
-    });
-    register_app("dedup", [](const app_params& p) {
-      return std::unique_ptr<app_instance>(new dedup_app(p));
-    });
-    register_app("ferret", [](const app_params& p) {
-      return std::unique_ptr<app_instance>(new ferret_app(p));
-    });
-  });
+app_run run_app(const std::string& name, pipe::backend b, const app_params& p) {
+  const app_entry* app = nullptr;
+  for (const app_entry& e : kApps)
+    if (name == e.name) app = &e;
+  if (app == nullptr)
+    throw std::out_of_range("apps::run_app: unknown app '" + name + "'");
+
+  app_run out;
+  // Serial-elision reference digest, memoized per (app, seed).
+  {
+    static std::mutex mu;
+    static std::map<std::string, std::string> references;
+    const std::string key = name + "|" + std::to_string(p.seed);
+    std::unique_lock<std::mutex> lk(mu);
+    auto it = references.find(key);
+    if (it == references.end()) {
+      lk.unlock();
+      app_params ref_p = p;
+      ref_p.workers = 1;
+      pipe::exec_result ref_ex;
+      std::string digest = app->run(ref_p, pipe::backend::serial, &ref_ex);
+      lk.lock();
+      it = references.emplace(key, std::move(digest)).first;
+    }
+    out.reference = it->second;
+  }
+
+  // A failing run is a reportable result, not a crash of the harness: map
+  // the backend's rethrown exception onto exec.outcome/error. The digest is
+  // left empty (partial output must not masquerade as a result), so ok
+  // stays false. graph_error still propagates — a miswired pipeline is a
+  // caller bug, not a run outcome.
+  try {
+    out.digest = app->run(p, b, &out.exec);
+    out.ok = out.digest == out.reference;
+  } catch (const pipe::graph_error&) {
+    throw;
+  } catch (const stall_error& e) {
+    out.exec.outcome = pipe::run_outcome::stalled;
+    out.exec.error = e.what();
+  } catch (const std::exception& e) {
+    out.exec.outcome = pipe::run_outcome::failed;
+    out.exec.error = e.what();
+  }
+  return out;
 }
 
-}  // namespace hq::pipe
+}  // namespace hq::apps

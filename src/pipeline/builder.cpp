@@ -10,10 +10,6 @@ namespace hq::pipe {
 namespace detail {
 
 bool admission_ctl::admit() {
-  if (opts.policy == admission_policy::none) {
-    admitted.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
   if (in_flight() < opts.window) {
     admitted.fetch_add(1, std::memory_order_relaxed);
     return true;
@@ -100,8 +96,6 @@ const char* to_string(stage_kind k) noexcept {
   switch (k) {
     case stage_kind::serial_in_order:
       return "serial_in_order";
-    case stage_kind::serial:
-      return "serial";
     case stage_kind::parallel:
       return "parallel";
   }
@@ -164,7 +158,7 @@ graph::plan graph::compile() const {
   if (stages_[snk].kind == stage_kind::parallel)
     throw graph_error(
         "pipe::compile: sink stage '" + stages_[snk].name +
-        "' is parallel; sinks must be serial or serial_in_order");
+        "' is parallel; sinks must be serial_in_order");
 
   plan p;
   // Walk the chain from the source; every stage must be reachable.
@@ -178,8 +172,8 @@ graph::plan graph::compile() const {
       throw graph_error("pipe::compile: stage '" + s.name +
                         "' has no outgoing edge");
     // Depth of the tokens this stage emits: an in-order stage restarts
-    // sequence numbering (its output is a fresh totally-ordered stream);
-    // other kinds tag outputs relative to their input's position. An
+    // sequence numbering (its output is a fresh totally-ordered stream); a
+    // parallel stage tags outputs relative to its input's position. An
     // expand stage appends one sub-sequence level either way.
     unsigned out_depth =
         (s.kind == stage_kind::serial_in_order || s.is_source) ? 1 : depth;

@@ -17,24 +17,27 @@
 //
 // and the runner (pipeline/runner.hpp) lowers the same description onto the
 // serial elision, hyperqueues (slice or element data path), the pthreads
-// baseline, or the TBB baseline. Stage kinds:
+// baseline, or the TBB baseline. Stage kinds, as in Pipeflow's two pipe
+// types:
 //
 //   serial_in_order — one in-flight activation, tokens in serial-elision
-//                     order (sources and ordered sinks);
-//   serial          — one in-flight activation, arrival order;
+//                     order (sources, sinks and stateful middle stages);
 //   parallel        — any number of concurrent activations.
+//
+// Every backend delivers serial-elision order to every serial_in_order
+// stage, so every backend produces the elision's output.
 //
 // `expand` stages may emit any number of tokens per input (dedup's
 // coarse->refine fan-out); plain `stage`s emit exactly one. Per-edge knobs
-// (edge_opts) carry the hyperqueue segment length, the slice batch, the
-// element-vs-bulk data path and the bounded-queue capacity of the pthreads
-// baseline — the numbers the hand-rolled variants hard-coded.
+// (edge_opts) carry the hyperqueue segment length, the slice batch and the
+// bounded-queue capacity of the pthreads baseline — the numbers the
+// hand-rolled variants hard-coded. The data path (slices or single
+// elements) is a backend choice, not an edge knob.
 //
 // Misuse (type-mismatched edges, unattached stages, parallel sinks) throws
 // graph_error at connect()/compile() time. The builder also emits the
 // stage->queue attachment graph (build_queue_graph) that feeds
-// plan_queue_placement, closing the PR 6 residual: callers no longer pass
-// the graph explicitly.
+// plan_queue_placement, so callers never pass the graph explicitly.
 #pragma once
 
 #include <cassert>
@@ -55,7 +58,7 @@
 
 namespace hq::pipe {
 
-enum class stage_kind { serial_in_order, serial, parallel };
+enum class stage_kind { serial_in_order, parallel };
 
 [[nodiscard]] const char* to_string(stage_kind k) noexcept;
 
@@ -70,9 +73,6 @@ struct edge_opts {
   /// Hyperqueue segment length (Section 5.1); 0 = 2 * slice_batch so a
   /// batch normally fits one contiguous grant.
   std::size_t segment_length = 0;
-  /// Slice data path (default) vs element-at-a-time pushes/pops. The
-  /// hyperqueue_element backend forces the element path on every edge.
-  bool bulk = true;
   /// Relative element volume; feeds the placement partitioner's cut
   /// objective (sched/partition.hpp).
   double traffic = 1.0;
@@ -130,8 +130,9 @@ namespace detail {
 
 /// Runtime state of one run's admission window, shared by the source-side
 /// gate (admit) and the sink-side retire counter (complete). pipe::execute
-/// creates one per run, installs it in the graph for the stage wrappers
-/// (graph::source / graph::sink) and reads the counters into exec_result.
+/// creates one per run whose policy is not `none`, installs it in the graph
+/// for the stage wrappers (graph::source / graph::sink) and reads the
+/// counters into exec_result.
 struct admission_ctl {
   explicit admission_ctl(admission_opts o) : opts(o) {}
 
@@ -244,12 +245,13 @@ class hq_chan final : public hq_chan_base {
   hyperqueue<T> q;
 };
 
-/// Resolved data-path knobs of one stage's input/output edges.
+/// Resolved data-path knobs of one stage's input/output edges. `bulk`
+/// selects the slice path (hyperqueue backend) over element-at-a-time
+/// pushes and pops (hyperqueue_element backend) on both edges.
 struct hq_knobs {
   std::size_t in_batch = 16;
   std::size_t out_batch = 16;
-  bool in_bulk = true;
-  bool out_bulk = true;
+  bool bulk = true;
 };
 
 /// Channel endpoints handed to a stage's hyperqueue lowering (null at the
@@ -331,14 +333,14 @@ using sink_body = std::function<void(In&&)>;
 template <typename Out>
 void hq_source_task(const source_body<Out>* body, hq_knobs k,
                     pushdep<Out> out) {
-  hq_emitter<Out> em(out, k.out_batch, k.out_bulk);
+  hq_emitter<Out> em(out, k.out_batch, k.bulk);
   (*body)(em.handle());
 }
 
 template <typename In, typename Out>
 void hq_batch_task(const stage_body<In, Out>* body, hq_knobs k,
                    std::vector<In> work, pushdep<Out> out) {
-  hq_emitter<Out> em(out, k.out_batch, k.out_bulk);
+  hq_emitter<Out> em(out, k.out_batch, k.bulk);
   for (auto& v : work) (*body)(std::move(v), em.handle());
 }
 
@@ -356,7 +358,7 @@ void hq_parallel_stage(const stage_body<In, Out>* body, hq_knobs k,
                 "batch-child closure must fit task_fn's inline buffer");
   for (;;) {
     std::vector<In> work;
-    if (k.in_bulk) {
+    if (k.bulk) {
       auto rs = in.get_read_slice(k.in_batch);
       if (rs.empty()) break;  // definitive end of stream
       work.reserve(rs.size());
@@ -371,13 +373,13 @@ void hq_parallel_stage(const stage_body<In, Out>* body, hq_knobs k,
   sync();
 }
 
-/// Serial stage (ordered or not): one task draining the input inline. Pop
-/// order is serial-elision order, so serial_in_order needs nothing extra.
+/// serial_in_order middle stage: one task draining the input inline. Pop
+/// order is serial-elision order, so it needs nothing extra.
 template <typename In, typename Out>
 void hq_serial_stage(const stage_body<In, Out>* body, hq_knobs k,
                      popdep<In> in, pushdep<Out> out) {
-  hq_emitter<Out> em(out, k.out_batch, k.out_bulk);
-  if (k.in_bulk) {
+  hq_emitter<Out> em(out, k.out_batch, k.bulk);
+  if (k.bulk) {
     for (;;) {
       auto rs = in.get_read_slice(k.in_batch);
       if (rs.empty()) break;
@@ -394,7 +396,7 @@ void hq_serial_stage(const stage_body<In, Out>* body, hq_knobs k,
 
 template <typename In>
 void hq_sink_task(const sink_body<In>* body, hq_knobs k, popdep<In> in) {
-  if (k.in_bulk) {
+  if (k.bulk) {
     for (;;) {
       auto rs = in.get_read_slice(k.in_batch);
       if (rs.empty()) break;
@@ -530,9 +532,9 @@ class graph {
                                std::forward<F>(body), /*multi_out=*/true);
   }
 
-  /// Declare the (single) sink; `body` is void(In&&). serial_in_order sinks
-  /// observe tokens in serial-elision order on every backend; serial sinks
-  /// observe arrival order. Parallel sinks are rejected at compile().
+  /// Declare the (single) sink; `body` is void(In&&). A serial_in_order sink
+  /// observes tokens in serial-elision order on every backend. Parallel
+  /// sinks are rejected at compile().
   template <typename In, typename F>
   stage_id sink(std::string name, stage_kind kind, F&& body) {
     // Each delivery that returns retires one token from the run's

@@ -1,7 +1,6 @@
 #include "pipeline/runner.hpp"
 
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <exception>
 #include <map>
@@ -13,7 +12,6 @@
 #include "conc/bounded_queue.hpp"
 #include "pipeline/tbb_pipeline.hpp"
 #include "sched/partition.hpp"
-#include "sched/watchdog.hpp"
 #include "util/stats.hpp"
 
 namespace hq::pipe {
@@ -92,26 +90,25 @@ exec_result run_serial_elision(graph& g) {
 // frames spawned in chain order — the serial-elision order the queues'
 // visibility rules assume, and the order the scheduler starts stage frames
 // in (sched/scheduler.hpp). The element backend is the same lowering with
-// the bulk path forced off on every edge.
+// the element data path on every edge.
 
 detail::hq_knobs knobs_for(const graph& g, const graph::plan& p,
-                           std::size_t chain_pos, bool force_element) {
+                           std::size_t chain_pos, bool bulk) {
   detail::hq_knobs k;
+  k.bulk = bulk;
   if (chain_pos > 0) {
     const auto& in = g.edge_at(p.edges[chain_pos - 1]).opts;
     k.in_batch = in.slice_batch ? in.slice_batch : 1;
-    k.in_bulk = in.bulk && !force_element;
   }
   if (chain_pos + 1 < p.order.size()) {
     const auto& out = g.edge_at(p.edges[chain_pos]).opts;
     k.out_batch = out.slice_batch ? out.slice_batch : 1;
-    k.out_bulk = out.bulk && !force_element;
   }
   return k;
 }
 
 exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
-                                   bool force_element) {
+                                   bool bulk) {
   graph::plan p = g.compile();
   const std::size_t n = p.order.size();
 
@@ -150,7 +147,7 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
       detail::hq_stage_ctx ctx;
       ctx.in = i > 0 ? chans[i - 1].get() : nullptr;
       ctx.out = i + 1 < n ? chans[i].get() : nullptr;
-      ctx.knobs = knobs_for(g, p, i, force_element);
+      ctx.knobs = knobs_for(g, p, i, bulk);
       g.stage_at(p.order[i]).hq_spawn(ctx);
     }
     sync();
@@ -316,10 +313,10 @@ std::vector<void*> run_collect(const stage_rec& s, void* payload) {
   return outs;
 }
 
-/// Push `outs` tagged relative to input record `r` (parallel / unordered
-/// stages: output order is derived from the input's path). Returns false —
-/// with the unsent tokens destroyed — when the output queue closed under
-/// us, i.e. the run was cancelled.
+/// Push `outs` tagged relative to input record `r` (parallel stages: output
+/// order is derived from the input's path). Returns false — with the unsent
+/// tokens destroyed — when the output queue closed under us, i.e. the run
+/// was cancelled.
 [[nodiscard]] bool push_tagged(bounded_queue<prec>& out, const stage_rec& s,
                                const prec& r, std::vector<void*>&& outs) {
   if (s.multi_out) {
@@ -365,10 +362,11 @@ void pth_worker_stage(const stage_rec& s, bounded_queue<prec>& in,
   }
 }
 
-/// serial_in_order middle stage: reorder the input to elision order, run
-/// the body inline, and restart sequence numbering on the output stream.
+/// serial_in_order stage: reorder the input to elision order and run the
+/// body inline. A middle stage restarts sequence numbering on its output
+/// stream; the sink (`out` null) has no output.
 void pth_inorder_stage(const stage_rec& s, unsigned in_depth,
-                       bounded_queue<prec>& in, bounded_queue<prec>& out) {
+                       bounded_queue<prec>& in, bounded_queue<prec>* out) {
   reorderer ro(in_depth);
   std::uint32_t in_seq = 0;
   // The reorder buffer owns out-of-order payloads; destroy them on any exit
@@ -382,6 +380,10 @@ void pth_inorder_stage(const stage_rec& s, unsigned in_depth,
       auto v = in.pop();
       if (!v) break;
       ro.feed(*v, [&](void* payload) {
+        if (out == nullptr) {
+          s.run_heap(payload, erased_emit{});
+          return;
+        }
         if (!live) {  // output closed mid-drain: consume, don't run
           if (s.destroy_in) s.destroy_in(payload);
           return;
@@ -389,7 +391,7 @@ void pth_inorder_stage(const stage_rec& s, unsigned in_depth,
         prec r;
         r.path[0] = in_seq++;
         r.depth = 1;
-        live = push_tagged(out, s, r, run_collect(s, payload));
+        live = push_tagged(*out, s, r, run_collect(s, payload));
       });
       if (!live || ro.done()) break;
     }
@@ -398,40 +400,11 @@ void pth_inorder_stage(const stage_rec& s, unsigned in_depth,
     throw;
   }
   drop_pending();  // no-op on a clean, completed run
+  if (out == nullptr) return;
   prec root;
   root.is_count = true;
   root.count = in_seq;
-  (void)out.push(root);  // rejected iff cancelled; the count is moot then
-}
-
-void pth_sink_stage(const stage_rec& s, unsigned in_depth,
-                    bounded_queue<prec>& in) {
-  erased_emit none;
-  auto retire = [&](void* payload) { s.run_heap(payload, none); };
-  if (s.kind == stage_kind::serial_in_order) {
-    reorderer ro(in_depth);
-    auto drop_pending = [&] {
-      if (s.destroy_in) ro.for_each_pending([&](void* p) { s.destroy_in(p); });
-    };
-    try {
-      for (;;) {
-        auto v = in.pop();
-        if (!v) break;
-        ro.feed(*v, retire);
-        if (ro.done()) break;
-      }
-    } catch (...) {
-      drop_pending();
-      throw;
-    }
-    drop_pending();
-  } else {
-    for (;;) {
-      auto v = in.pop();
-      if (!v) break;
-      if (!v->is_count) retire(v->payload);
-    }
-  }
+  (void)out->push(root);  // rejected iff cancelled; the count is moot then
 }
 
 exec_result run_pthreads_backend(graph& g, const exec_options& opt) {
@@ -452,40 +425,28 @@ exec_result run_pthreads_backend(graph& g, const exec_options& opt) {
   exec_result res;
   util::stopwatch sw;
   std::vector<std::vector<std::thread>> stage_threads(n);
+  // A stage thread's failure is recorded and cancels the run.
+  auto guarded = [&fl](auto body) {
+    return [&fl, body] {
+      try {
+        body();
+      } catch (...) {
+        fl.fail(std::current_exception());
+      }
+    };
+  };
   for (std::size_t i = 1; i < n; ++i) {
     const stage_rec& s = g.stage_at(p.order[i]);
     const unsigned in_depth = p.edge_depth[i - 1];
     auto* in = qs[i - 1].get();
-    if (s.is_sink) {
-      stage_threads[i].emplace_back([&fl, &s, in_depth, in] {
-        try {
-          pth_sink_stage(s, in_depth, *in);
-        } catch (...) {
-          fl.fail(std::current_exception());
-        }
-      });
+    auto* out = i + 1 < n ? qs[i].get() : nullptr;  // null at the sink
+    if (s.kind == stage_kind::parallel) {  // never the sink (compile())
+      for (unsigned t = 0; t < workers; ++t)
+        stage_threads[i].emplace_back(
+            guarded([&s, in, out] { pth_worker_stage(s, *in, *out); }));
     } else {
-      auto* out = qs[i].get();
-      if (s.kind == stage_kind::serial_in_order) {
-        stage_threads[i].emplace_back([&fl, &s, in_depth, in, out] {
-          try {
-            pth_inorder_stage(s, in_depth, *in, *out);
-          } catch (...) {
-            fl.fail(std::current_exception());
-          }
-        });
-      } else {
-        const unsigned nthreads =
-            s.kind == stage_kind::parallel ? workers : 1;
-        for (unsigned t = 0; t < nthreads; ++t)
-          stage_threads[i].emplace_back([&fl, &s, in, out] {
-            try {
-              pth_worker_stage(s, *in, *out);
-            } catch (...) {
-              fl.fail(std::current_exception());
-            }
-          });
-      }
+      stage_threads[i].emplace_back(guarded(
+          [&s, in_depth, in, out] { pth_inorder_stage(s, in_depth, *in, out); }));
     }
   }
 
@@ -604,17 +565,18 @@ exec_result run_tbb_backend(graph& g, const exec_options& opt) {
     if (!v) return nullptr;
     return new toklist{*v};
   });
-  for (std::size_t i = 1; i + 1 < n; ++i) {
+  for (std::size_t i = 1; i < n; ++i) {
     const stage_rec& s = g.stage_at(p.order[i]);
+    const bool is_sink = i + 1 == n;  // its body emits nothing
     auto mode = s.kind == stage_kind::parallel
                     ? tbbpipe::filter_mode::parallel
                     : tbbpipe::filter_mode::serial_in_order;
     pl.add_filter(
         mode,
-        [&s](void* t) -> void* {
+        [&s, is_sink](void* t) -> void* {
           std::unique_ptr<toklist> list(static_cast<toklist*>(t));
           toklist next;
-          next.reserve(list->size());
+          next.reserve(is_sink ? 0 : list->size());
           erased_emit em;
           em.ctx = &next;
           em.fn = [](void* c, void* tok) {
@@ -637,40 +599,18 @@ exec_result run_tbb_backend(graph& g, const exec_options& opt) {
                 s.destroy_in((*list)[k]);
             throw;
           }
+          if (is_sink) return nullptr;
           *list = std::move(next);
           return list.release();
         },
         list_destroy(s.destroy_in));
-  }
-  {
-    const stage_rec& snk = g.stage_at(p.order[n - 1]);
-    pl.add_filter(
-        tbbpipe::filter_mode::serial_in_order,
-        [&snk](void* t) -> void* {
-          std::unique_ptr<toklist> list(static_cast<toklist*>(t));
-          erased_emit none;
-          std::size_t done = 0;
-          try {
-            for (void* v : *list) {
-              snk.run_heap(v, none);
-              ++done;
-            }
-          } catch (...) {
-            if (snk.destroy_in)
-              for (std::size_t k = done + 1; k < list->size(); ++k)
-                snk.destroy_in((*list)[k]);
-            throw;
-          }
-          return nullptr;
-        },
-        list_destroy(snk.destroy_in));
   }
 
   exec_result res;
   util::stopwatch sw;
   std::exception_ptr run_err;
   try {
-    pl.run(opt.max_tokens ? opt.max_tokens : 4 * std::size_t{workers}, workers);
+    pl.run(4 * std::size_t{workers}, workers);
   } catch (...) {
     run_err = std::current_exception();
   }
@@ -713,9 +653,9 @@ exec_result execute(graph& g, backend b, const exec_options& opt) {
       case backend::serial:
         return run_serial_elision(g);
       case backend::hyperqueue:
-        return run_hyperqueue_backend(g, opt, /*force_element=*/false);
+        return run_hyperqueue_backend(g, opt, /*bulk=*/true);
       case backend::hyperqueue_element:
-        return run_hyperqueue_backend(g, opt, /*force_element=*/true);
+        return run_hyperqueue_backend(g, opt, /*bulk=*/false);
       case backend::pthreads:
         return run_pthreads_backend(g, opt);
       case backend::tbb:
@@ -730,107 +670,6 @@ exec_result execute(graph& g, backend b, const exec_options& opt) {
     res.admission_wait_ns = ctl->wait_ns.load(std::memory_order_relaxed);
   }
   return res;
-}
-
-// ---- app registry ----------------------------------------------------------
-
-namespace {
-
-struct registry_t {
-  std::mutex mu;
-  std::vector<std::string> names;
-  std::map<std::string, app_factory> factories;
-  std::map<std::string, std::string> references;  // (name|seed|mode) -> digest
-};
-
-registry_t& registry() {
-  static registry_t r;
-  return r;
-}
-
-std::string ref_key(const std::string& name, const app_params& p) {
-  return name + "|" + std::to_string(p.seed) + (p.quick ? "|q" : "|f");
-}
-
-}  // namespace
-
-void register_app(std::string name, app_factory make) {
-  auto& r = registry();
-  std::lock_guard<std::mutex> lk(r.mu);
-  if (r.factories.emplace(name, std::move(make)).second)
-    r.names.push_back(std::move(name));
-}
-
-const std::vector<std::string>& registered_apps() {
-  ensure_builtin_apps();
-  return registry().names;
-}
-
-app_run run_app(const std::string& name, backend b, const app_params& p,
-                const exec_options* opt_override) {
-  ensure_builtin_apps();
-  app_factory make;
-  {
-    auto& r = registry();
-    std::lock_guard<std::mutex> lk(r.mu);
-    auto it = r.factories.find(name);
-    if (it == r.factories.end())
-      throw std::out_of_range("pipe::run_app: unknown app '" + name + "'");
-    make = it->second;
-  }
-
-  app_run out;
-  // Serial-elision reference digest, memoized per (app, seed, size). The
-  // runner owns the equality gate: apps only declare kernels and a digest.
-  {
-    const std::string key = ref_key(name, p);
-    auto& r = registry();
-    std::unique_lock<std::mutex> lk(r.mu);
-    auto it = r.references.find(key);
-    if (it == r.references.end()) {
-      lk.unlock();
-      app_params ref_p = p;
-      ref_p.workers = 1;
-      auto ref_inst = make(ref_p);
-      graph ref_g;
-      ref_inst->describe(ref_g);
-      (void)run_serial_elision(ref_g);
-      std::string digest = ref_inst->digest();
-      lk.lock();
-      it = r.references.emplace(key, std::move(digest)).first;
-    }
-    out.reference = it->second;
-  }
-
-  auto inst = make(p);
-  graph g;
-  inst->describe(g);
-  exec_options opt;
-  if (opt_override) {
-    opt = *opt_override;
-  } else {
-    opt.workers = p.workers;
-    opt.seed = p.seed;
-  }
-  // A failing run is a reportable result, not a crash of the harness: map
-  // the backend's rethrown exception onto exec.outcome/error. The digest is
-  // left empty (partial output must not masquerade as a result), so ok
-  // stays false. graph_error still propagates — a miswired pipeline is a
-  // caller bug, not a run outcome.
-  try {
-    out.exec = execute(g, b, opt);
-    out.digest = inst->digest();
-    out.ok = out.digest == out.reference;
-  } catch (const graph_error&) {
-    throw;
-  } catch (const stall_error& e) {
-    out.exec.outcome = run_outcome::stalled;
-    out.exec.error = e.what();
-  } catch (const std::exception& e) {
-    out.exec.outcome = run_outcome::failed;
-    out.exec.error = e.what();
-  }
-  return out;
 }
 
 }  // namespace hq::pipe

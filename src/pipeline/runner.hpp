@@ -1,4 +1,4 @@
-// Generic pipeline runner + app registry.
+// Generic pipeline runner.
 //
 // Executes one pipe::graph description on any backend:
 //
@@ -19,23 +19,17 @@
 //                         progresses (README "Stage scheduling").
 //   hyperqueue_element  — same lowering, element-at-a-time pushes/pops on
 //                         every edge (Section 4 baseline data path).
-//   pthreads            — explicit-thread baseline over bounded_queue, with
-//                         multi-level reorder buffers recovering
-//                         serial-elision order behind expand stages.
+//   pthreads            — explicit-thread baseline over bounded_queue: one
+//                         thread per serial_in_order stage, `workers`
+//                         threads per parallel stage, and multi-level
+//                         reorder buffers recovering serial-elision order
+//                         in front of every serial_in_order stage.
 //   tbb                 — the TBB-style token pipeline baseline
 //                         (pipeline/tbb_pipeline.hpp), gathered-list tokens
 //                         for expand stages (paper Figure 10a).
-//
-// Apps register a factory under a name (register_app / REGISTER_HQ_APP via
-// registry.cpp); run_app(name, backend, params) builds a fresh instance,
-// runs it, and compares its digest against a memoized serial-elision
-// reference — the output-equality gate lives here once instead of being
-// re-implemented per app.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -48,15 +42,13 @@ enum class backend { serial, hyperqueue, hyperqueue_element, pthreads, tbb };
 
 [[nodiscard]] const char* to_string(backend b) noexcept;
 
-/// All registered app-facing backends (everything but `serial`, which is
-/// the reference the others are gated against).
+/// Every backend but `serial`, which is the reference the others are gated
+/// against.
 [[nodiscard]] const std::vector<backend>& parallel_backends();
 
 struct exec_options {
   unsigned workers = 1;
   std::uint64_t seed = 0;
-  /// TBB backend: max in-flight tokens; 0 = 4 * workers.
-  std::size_t max_tokens = 0;
   /// Hyperqueue backend: explicit placement; null = environment-driven
   /// (HQ_PLACEMENT / HQ_TOPOLOGY via the scheduler's default ctor).
   const scheduler::placement_config* placement = nullptr;
@@ -78,8 +70,8 @@ enum class run_outcome { ok, failed, stalled };
 struct exec_result {
   double seconds = 0;
   run_outcome outcome = run_outcome::ok;
-  /// what() of the failure when outcome != ok (filled by run_app; execute()
-  /// itself throws instead).
+  /// what() of the failure when outcome != ok (filled by a harness that
+  /// catches execute()'s exception; execute() itself throws).
   std::string error;
   /// Hyperqueue backend only: pool counters summed over the chain's queues
   /// and the peak live segment count (zero-steady-state-alloc probes).
@@ -101,53 +93,7 @@ struct exec_result {
 /// Run `g` on `b`. Throws graph_error if the description doesn't compile.
 /// A stage body that throws cancels the run on every backend: in-flight
 /// tokens are reclaimed, worker threads drain out, and the first exception
-/// is rethrown here on the calling thread (run_app instead catches it and
-/// reports it through exec_result::outcome/error).
+/// is rethrown here on the calling thread.
 exec_result execute(graph& g, backend b, const exec_options& opt = {});
-
-// ---- app registry ----------------------------------------------------------
-
-struct app_params {
-  unsigned workers = 1;
-  std::uint64_t seed = 0;
-  /// Small deterministic inputs (tests / --quick benches) vs full size.
-  bool quick = true;
-};
-
-/// One constructed app run: describes its pipeline into a graph, then
-/// reports a digest of its output after execution. Instances are
-/// single-shot; the registry makes a fresh one per run.
-class app_instance {
- public:
-  virtual ~app_instance() = default;
-  virtual void describe(graph& g) = 0;
-  [[nodiscard]] virtual std::string digest() const = 0;
-};
-
-using app_factory =
-    std::function<std::unique_ptr<app_instance>(const app_params&)>;
-
-void register_app(std::string name, app_factory make);
-[[nodiscard]] const std::vector<std::string>& registered_apps();
-/// Force registration of the built-in apps (bzip2/dedup/ferret). Defined in
-/// src/apps/registry.cpp; callers in the same binary get the registrations
-/// via this link-time dependency regardless of static-init order.
-void ensure_builtin_apps();
-
-struct app_run {
-  exec_result exec;
-  std::string digest;     ///< this run's output digest
-  std::string reference;  ///< serial-elision digest for (app, seed, quick)
-  /// digest == reference. False whenever exec.outcome != run_outcome::ok
-  /// (a failed run leaves digest empty rather than reporting partial
-  /// output as if it were a result).
-  bool ok = false;
-};
-
-/// Build app `name` with `p`, run it on `b`, and gate the result against
-/// the memoized serial-elision reference digest. Throws std::out_of_range
-/// for unknown apps.
-app_run run_app(const std::string& name, backend b, const app_params& p,
-                const exec_options* opt_override = nullptr);
 
 }  // namespace hq::pipe

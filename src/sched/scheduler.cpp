@@ -61,9 +61,8 @@ unsigned watchdog_ms_from_env() {
 }  // namespace
 
 scheduler::scheduler(unsigned num_workers)
-    : scheduler(num_workers, placement_config{placement_policy_from_env(),
-                                              nullptr,
-                                              {}}) {}
+    : scheduler(num_workers,
+                placement_config{placement_policy_from_env(), nullptr}) {}
 
 scheduler::scheduler(unsigned num_workers, placement_config cfg) {
   if (num_workers == 0) {
@@ -73,11 +72,9 @@ scheduler::scheduler(unsigned num_workers, placement_config cfg) {
   policy_ = cfg.policy;
   watchdog_ms_ = watchdog_ms_from_env();
 
-  // Worker -> CPU assignment: explicit list (benches building exact
-  // pairings) or the deterministic policy plan; empty means unplaced.
-  std::vector<unsigned> cpus = cfg.explicit_cpus.empty()
-                                   ? plan_placement(topo_, policy_, num_workers)
-                                   : std::move(cfg.explicit_cpus);
+  // Worker -> CPU assignment: the deterministic policy plan; empty means
+  // unplaced.
+  const std::vector<unsigned> cpus = plan_placement(topo_, policy_, num_workers);
 
   workers_.reserve(num_workers);
   std::vector<int> home_nodes(num_workers, -1);

@@ -123,10 +123,6 @@ class scheduler {
     /// Topology model to place against; null = topology::detect() (which
     /// honors HQ_TOPOLOGY). Copied — the pointee need not outlive the call.
     const topology* topo = nullptr;
-    /// Explicit worker->CPU assignment, overriding plan_placement. Workers
-    /// beyond the list wrap modulo. Used by benches to build exact pairings
-    /// (same-LLC vs cross-node).
-    std::vector<unsigned> explicit_cpus;
   };
 
   /// @param num_workers worker thread count (>=1); this is the paper's "core

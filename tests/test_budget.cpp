@@ -140,11 +140,16 @@ void range_producer(hq::pushdep<int> q, int start, int end) {
   }
 }
 
+/// Busy work the optimizer cannot drop: every access to a volatile stays.
+void busy_spin(unsigned n) {
+  volatile unsigned count = 0;
+  while (count < n) count = count + 1;
+}
+
 void slow_consumer(hq::popdep<int> q, std::vector<int>* out, unsigned spin) {
   while (!q.empty()) {
     out->push_back(q.pop());
-    for (volatile unsigned i = 0; i < spin; ++i) {
-    }
+    busy_spin(spin);
   }
 }
 
@@ -271,8 +276,7 @@ struct admit_fixture {
     auto snk = g.sink<int>(
         "snk", hq::pipe::stage_kind::serial_in_order,
         [this, sink_spin](int&&) {
-          for (volatile unsigned i = 0; i < sink_spin; ++i) {
-          }
+          busy_spin(sink_spin);
           delivered.fetch_add(1, std::memory_order_relaxed);
         });
     g.connect(src, snk);

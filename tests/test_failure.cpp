@@ -21,6 +21,7 @@
 #include <tuple>
 #include <vector>
 
+#include "apps/registry.hpp"
 #include "core/fault.hpp"
 #include "pipeline/runner.hpp"
 #include "sched/spawn.hpp"
@@ -28,7 +29,7 @@
 
 namespace {
 
-using hq::pipe::app_params;
+using hq::apps::app_params;
 using hq::pipe::backend;
 using hq::pipe::run_outcome;
 
@@ -61,11 +62,11 @@ std::string mid_stage(const std::string& app) {
   return "?";
 }
 
-/// Memoize the serial-elision reference digest for (app, seed, quick)
+/// Memoize the serial-elision reference digest for (app, seed)
 /// BEFORE a fault plan is installed — otherwise the reference run itself
 /// would hit the injected site.
 void prewarm_reference(const std::string& app, const app_params& p) {
-  const auto ref = hq::pipe::run_app(app, backend::serial, p);
+  const auto ref = hq::apps::run_app(app, backend::serial, p);
   ASSERT_EQ(ref.exec.outcome, run_outcome::ok);
   ASSERT_TRUE(ref.ok);
 }
@@ -105,7 +106,7 @@ TEST_P(FailureMatrix, StageThrowSurfacesThenCleanRunMatches) {
   plan_guard guard;
   install_throw(site, /*nth=*/3);
 
-  const auto failed = hq::pipe::run_app(app, b, p);
+  const auto failed = hq::apps::run_app(app, b, p);
   EXPECT_EQ(failed.exec.outcome, run_outcome::failed)
       << app << " on " << hq::pipe::to_string(b) << " at " << workers;
   EXPECT_NE(failed.exec.error.find(site), std::string::npos)
@@ -115,7 +116,7 @@ TEST_P(FailureMatrix, StageThrowSurfacesThenCleanRunMatches) {
 
   // The nth firing is consumed; the very next run on the same (installed)
   // plan must complete and match the serial elision byte for byte.
-  const auto clean = hq::pipe::run_app(app, b, p);
+  const auto clean = hq::apps::run_app(app, b, p);
   EXPECT_EQ(clean.exec.outcome, run_outcome::ok) << clean.exec.error;
   EXPECT_EQ(clean.digest, clean.reference);
   EXPECT_TRUE(clean.ok);
@@ -258,12 +259,12 @@ TEST_P(AllocFault, SurfacesAsBadAllocAndRunStaysReusable) {
   plan_guard guard;
   hq::fault::install(std::move(pl));
 
-  const auto failed = hq::pipe::run_app("bzip2", backend::hyperqueue, p);
+  const auto failed = hq::apps::run_app("bzip2", backend::hyperqueue, p);
   EXPECT_EQ(failed.exec.outcome, run_outcome::failed) << GetParam();
   EXPECT_NE(failed.exec.error.find("bad_alloc"), std::string::npos)
       << "error was: " << failed.exec.error;
 
-  const auto clean = hq::pipe::run_app("bzip2", backend::hyperqueue, p);
+  const auto clean = hq::apps::run_app("bzip2", backend::hyperqueue, p);
   EXPECT_EQ(clean.exec.outcome, run_outcome::ok) << clean.exec.error;
   EXPECT_TRUE(clean.ok);
 }
@@ -295,7 +296,7 @@ TEST(AllocFault, NumaBindFailureFallsBackToFirstTouch) {
   plan_guard guard;
   hq::fault::install(std::move(pl));
 
-  const auto run = hq::pipe::run_app("bzip2", backend::hyperqueue, p);
+  const auto run = hq::apps::run_app("bzip2", backend::hyperqueue, p);
   EXPECT_EQ(run.exec.outcome, run_outcome::ok) << run.exec.error;
   EXPECT_TRUE(run.ok);
 }
@@ -322,7 +323,7 @@ TEST(FaultReplay, FiringPointsAreIdenticalAcrossRuns) {
     thr.nth = 5;
     pl.rules.push_back(std::move(thr));
     hq::fault::install(std::move(pl));
-    const auto run = hq::pipe::run_app("bzip2", backend::hyperqueue, p);
+    const auto run = hq::apps::run_app("bzip2", backend::hyperqueue, p);
     EXPECT_EQ(run.exec.outcome, run_outcome::failed);
     auto fired = hq::fault::firings();
     hq::fault::clear();
@@ -440,7 +441,7 @@ TEST(Watchdog, EnvKnobArmsThePipelineSchedulers) {
   hq::fault::install(std::move(pl));
 
   ASSERT_EQ(setenv("HQ_WATCHDOG_MS", "50", 1), 0);
-  const auto run = hq::pipe::run_app("ferret", backend::hyperqueue, p);
+  const auto run = hq::apps::run_app("ferret", backend::hyperqueue, p);
   ASSERT_EQ(unsetenv("HQ_WATCHDOG_MS"), 0);
 
   EXPECT_EQ(run.exec.outcome, run_outcome::stalled) << run.exec.error;
@@ -449,7 +450,7 @@ TEST(Watchdog, EnvKnobArmsThePipelineSchedulers) {
   EXPECT_FALSE(run.ok);
 
   // And with the plan consumed (nth passed), the same app runs clean.
-  const auto clean = hq::pipe::run_app("ferret", backend::hyperqueue, p);
+  const auto clean = hq::apps::run_app("ferret", backend::hyperqueue, p);
   EXPECT_EQ(clean.exec.outcome, run_outcome::ok) << clean.exec.error;
   EXPECT_TRUE(clean.ok);
 }
@@ -467,10 +468,10 @@ TEST(CancelStressHyperqueue, RepeatedMidStreamFailuresStayClean) {
   for (std::uint64_t round = 1; round <= 6; ++round) {
     plan_guard guard;
     install_throw("stage.dedup_compress", /*nth=*/round, /*seed=*/round);
-    const auto failed = hq::pipe::run_app("dedup", backend::hyperqueue, p);
+    const auto failed = hq::apps::run_app("dedup", backend::hyperqueue, p);
     EXPECT_EQ(failed.exec.outcome, run_outcome::failed) << "round " << round;
     hq::fault::clear();
-    const auto clean = hq::pipe::run_app("dedup", backend::hyperqueue, p);
+    const auto clean = hq::apps::run_app("dedup", backend::hyperqueue, p);
     EXPECT_EQ(clean.exec.outcome, run_outcome::ok) << clean.exec.error;
     EXPECT_TRUE(clean.ok);
   }

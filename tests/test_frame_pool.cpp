@@ -178,7 +178,7 @@ TEST(FramePool, SingleNodePlacementHasNoRemoteAllocs) {
   // served allocation as node-local; this also pins the accounting
   // identity node_local + remote == magazine-served allocations.
   const hq::topology topo = hq::topology::synthetic("1x4");
-  hq::scheduler sched(4, {hq::placement_policy::compact, &topo, {}});
+  hq::scheduler sched(4, {hq::placement_policy::compact, &topo});
   for (int i = 0; i < 5; ++i) spawn_rounds(sched, 20, 64);
   for (const auto& pool :
        {sched.frame_pool_stats(), sched.attach_pool_stats()}) {
@@ -199,7 +199,7 @@ TEST(FramePool, TwoNodeTopologyCountsLocality) {
   // bounded-return migration path (a small fraction of the volume, but
   // timing-dependent — only the accounting identity is asserted).
   const hq::topology topo = hq::topology::synthetic("2x2");
-  hq::scheduler sched(4, {hq::placement_policy::compact, &topo, {}});
+  hq::scheduler sched(4, {hq::placement_policy::compact, &topo});
   for (int i = 0; i < 5; ++i) spawn_rounds(sched, 20, 64);
   const auto fp = sched.frame_pool_stats();
   EXPECT_GT(fp.node_local_allocs, 0u);

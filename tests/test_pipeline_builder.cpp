@@ -6,7 +6,6 @@
 // plan_queue_placement derives from the graph's own attachment topology).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <numeric>
@@ -45,7 +44,7 @@ TEST(PipelineBuilder, ConnectRejectsTypeMismatch) {
 TEST(PipelineBuilder, ConnectRejectsDoubleUse) {
   graph g;
   auto src = g.source<int>("src", [](emit<int> out) { out(1); });
-  auto mid = g.stage<int, int>("mid", stage_kind::serial,
+  auto mid = g.stage<int, int>("mid", stage_kind::serial_in_order,
                                [](int&& v, emit<int> out) { out(std::move(v)); });
   auto snk = g.sink<int>("snk", stage_kind::serial_in_order, [](int&&) {});
   g.connect(src, mid);
@@ -112,7 +111,6 @@ TEST(PipelineBuilder, KnobsTravelOnEdges) {
   a.capacity = 5;
   a.slice_batch = 3;
   a.segment_length = 32;
-  a.bulk = false;
   a.traffic = 2.5;
   edge_opts b;
   b.capacity = 9;
@@ -124,7 +122,6 @@ TEST(PipelineBuilder, KnobsTravelOnEdges) {
   EXPECT_EQ(g.edge_at(0).opts.capacity, 5u);
   EXPECT_EQ(g.edge_at(0).opts.slice_batch, 3u);
   EXPECT_EQ(g.edge_at(0).opts.segment_length, 32u);
-  EXPECT_FALSE(g.edge_at(0).opts.bulk);
   EXPECT_EQ(g.edge_at(1).opts.capacity, 9u);
 
   const auto plan = g.compile();
@@ -175,7 +172,9 @@ void check_linear_order(backend b, unsigned workers) {
   g.connect(src, mid, opts);
   g.connect(mid, snk, opts);
 
-  (void)hq::pipe::execute(g, b, {.workers = workers});
+  hq::pipe::exec_options eo;
+  eo.workers = workers;
+  (void)hq::pipe::execute(g, b, eo);
   ASSERT_EQ(got.size(), kN);
   for (std::uint64_t i = 0; i < kN; ++i) EXPECT_EQ(got[i], i * i) << "at " << i;
 }
@@ -210,7 +209,9 @@ void check_expand_order(backend b, unsigned workers) {
   g.connect(src, exp, opts);
   g.connect(exp, snk, opts);
 
-  (void)hq::pipe::execute(g, b, {.workers = workers});
+  hq::pipe::exec_options eo;
+  eo.workers = workers;
+  (void)hq::pipe::execute(g, b, eo);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
 }
@@ -231,32 +232,6 @@ INSTANTIATE_TEST_SUITE_P(
                       backend::hyperqueue_element, backend::pthreads,
                       backend::tbb),
     [](const auto& info) { return hq::pipe::to_string(info.param); });
-
-// An unordered serial sink still sees every token exactly once.
-TEST(PipelineRunner, SerialSinkSeesAllTokens) {
-  constexpr std::uint64_t kN = 128;
-  for (backend b : hq::pipe::parallel_backends()) {
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> count{0};
-    graph g;
-    auto src = g.source<std::uint64_t>("src", [](emit<std::uint64_t> out) {
-      for (std::uint64_t i = 0; i < kN; ++i) out(std::uint64_t{i});
-    });
-    auto mid = g.stage<std::uint64_t, std::uint64_t>(
-        "id", stage_kind::parallel,
-        [](std::uint64_t&& v, emit<std::uint64_t> out) { out(std::move(v)); });
-    auto snk = g.sink<std::uint64_t>("sum", stage_kind::serial,
-                                     [&](std::uint64_t&& v) {
-                                       sum += v;
-                                       ++count;
-                                     });
-    g.connect(src, mid);
-    g.connect(mid, snk);
-    (void)hq::pipe::execute(g, b, {.workers = 4});
-    EXPECT_EQ(count.load(), kN) << hq::pipe::to_string(b);
-    EXPECT_EQ(sum.load(), kN * (kN - 1) / 2) << hq::pipe::to_string(b);
-  }
-}
 
 // ------------------------------------------------------ runtime-fed placement
 

@@ -1,23 +1,25 @@
-// App-runner conformance matrix: every registered app on every parallel
+// App-runner conformance matrix: every built-in app on every parallel
 // backend at 1/2/4/8 workers must produce a digest byte-identical to the
 // memoized serial-elision reference. This is the output-equality gate of
-// the generic runner exercised end to end — the per-app run_* wrappers and
-// benches route through the same execute() paths tested here.
+// the app harness (apps/registry.hpp) exercised end to end — the per-app
+// run() wrappers and benches route through the same execute() paths tested
+// here.
 //
-// Test names carry the backend label, so the sanitizer CI can select the
-// hyperqueue rows with --gtest_filter='*Hyperqueue*'.
+// Test names carry the backend label, so the sanitizer CI can select rows
+// with --gtest_filter='*Hyperqueue*:*Pthreads*:*Tbb*'.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cctype>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
+#include "apps/registry.hpp"
 #include "pipeline/runner.hpp"
 
 namespace {
 
-using hq::pipe::app_params;
+using hq::apps::app_params;
 using hq::pipe::backend;
 
 std::string backend_label(backend b) {
@@ -45,7 +47,7 @@ TEST_P(RunnerConformance, DigestMatchesSerialElision) {
   const auto& [app, b, workers] = GetParam();
   app_params p;
   p.workers = workers;
-  const auto run = hq::pipe::run_app(app, b, p);
+  const auto run = hq::apps::run_app(app, b, p);
   EXPECT_FALSE(run.reference.empty());
   EXPECT_EQ(run.digest, run.reference)
       << app << " on " << hq::pipe::to_string(b) << " at " << workers
@@ -67,20 +69,16 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
-// The registry itself: the built-ins are present, unknown names throw, and
-// a repeated run reuses the memoized reference (same digest object).
+// The app table itself: unknown names throw, and a repeated run reuses the
+// memoized reference. Every built-in name is covered by the matrix above.
 TEST(RunnerRegistry, BuiltinsRegisteredAndGated) {
-  const auto& names = hq::pipe::registered_apps();
-  ASSERT_GE(names.size(), 3u);
-  for (const char* want : {"bzip2", "dedup", "ferret"})
-    EXPECT_NE(std::find(names.begin(), names.end(), want), names.end());
-  EXPECT_THROW((void)hq::pipe::run_app("no_such_app", backend::tbb, {}),
+  EXPECT_THROW((void)hq::apps::run_app("no_such_app", backend::tbb, {}),
                std::out_of_range);
 
   app_params p;
   p.workers = 2;
-  const auto first = hq::pipe::run_app("ferret", backend::tbb, p);
-  const auto again = hq::pipe::run_app("ferret", backend::tbb, p);
+  const auto first = hq::apps::run_app("ferret", backend::tbb, p);
+  const auto again = hq::apps::run_app("ferret", backend::tbb, p);
   EXPECT_TRUE(first.ok);
   EXPECT_TRUE(again.ok);
   EXPECT_EQ(first.reference, again.reference);

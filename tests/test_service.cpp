@@ -53,7 +53,9 @@ TEST(Service, WorkloadIsSeedPure) {
   // the configured mean.
   double sum = 0;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (i > 0) EXPECT_GT(a[i].arrival, a[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GT(a[i].arrival, a[i - 1].arrival);
+    }
     EXPECT_GT(a[i].service, 0.0);
     sum += a[i].service;
   }

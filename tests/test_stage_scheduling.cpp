@@ -3,10 +3,11 @@
 // (sched/scheduler.hpp). Checked three ways:
 //  * the scheduler rules directly, on hand-spawned stage frames;
 //  * a deadlock-freedom matrix: generated 2..6-stage chains mixing every
-//    stage kind, on both data paths, at 1/2/3/4/8 workers, with and without
-//    a tight memory budget and under every admission policy — every run
-//    completes and matches the serial elision (the lossy policies: the
-//    elision of the items they admitted);
+//    stage kind, with zero-output and nested expands, on every parallel
+//    backend, at 1/2/3/4/8 workers, with and without a tight memory budget
+//    and under every admission policy — every run completes and matches
+//    the serial elision (the lossy policies: the elision of the items they
+//    admitted);
 //  * overlap: a source that cannot finish until the sink has retired its
 //    first item, which a schedule nesting the sink under the other stages
 //    can only satisfy by timing out.
@@ -21,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "apps/registry.hpp"
 #include "pipeline/runner.hpp"
 #include "sched/spawn.hpp"
 
@@ -90,23 +92,20 @@ TEST(StageRules, WorkersAtLeastStagesRunEveryStageConcurrently) {
 
 // ---------------------------------------------- deadlock-freedom matrix
 
-enum class mid { serial, in_order, parallel, expand_parallel, expand_serial };
+enum class mid { in_order, parallel, expand_parallel, expand_in_order };
 
-struct chain_shape {
-  std::vector<mid> mids;
-  stage_kind sink = stage_kind::serial_in_order;
-};
+/// The middle stages of a chain; the sink is always serial_in_order.
+using chain_shape = std::vector<mid>;
 
-// Chains of 2..6 stages; every middle kind appears, and expand stages sit
-// both before and after other kinds.
+// Chains of 2..6 stages; every middle kind appears, expand stages sit both
+// before and after other kinds, and two parallel expands nest.
 const std::vector<chain_shape>& shapes() {
   static const std::vector<chain_shape> v = {
-      {{}, stage_kind::serial_in_order},
-      {{mid::parallel}, stage_kind::serial},
-      {{mid::expand_parallel, mid::serial}, stage_kind::serial_in_order},
-      {{mid::in_order, mid::parallel, mid::expand_serial}, stage_kind::serial},
-      {{mid::parallel, mid::expand_serial, mid::in_order, mid::parallel},
-       stage_kind::serial_in_order},
+      {},
+      {mid::parallel},
+      {mid::expand_parallel, mid::expand_parallel},
+      {mid::in_order, mid::parallel, mid::expand_in_order},
+      {mid::parallel, mid::expand_in_order, mid::in_order, mid::parallel},
   };
   return v;
 }
@@ -133,7 +132,7 @@ std::vector<std::uint64_t> all_items() {
 }
 
 /// One fresh instance of a generated chain: the graph plus the state its
-/// serial stages carry and the sink's output. The source emits `items`;
+/// in-order stages carry and the sink's output. The source emits `items`;
 /// the first stage after it marks which of them admission let through.
 struct chain {
   graph g;
@@ -149,19 +148,16 @@ struct chain {
     ids.push_back(g.source<std::uint64_t>("src", [this](emit<std::uint64_t> o) {
       for (std::uint64_t i : items) o(std::uint64_t{i});
     }));
-    for (std::size_t i = 0; i < s.mids.size(); ++i) {
+    for (std::size_t i = 0; i < s.size(); ++i) {
       const std::string name = "m" + std::to_string(i);
       counters.push_back(std::make_unique<std::uint64_t>(0));
       std::uint64_t* n = counters.back().get();
       std::atomic<bool>* mark = i == 0 ? arrived.get() : nullptr;
-      switch (s.mids[i]) {
-        case mid::serial:
+      switch (s[i]) {
         case mid::in_order:
           // Stateful: numbers its inputs, so any order slip shows.
           ids.push_back(g.stage<std::uint64_t, std::uint64_t>(
-              name,
-              s.mids[i] == mid::serial ? stage_kind::serial
-                                       : stage_kind::serial_in_order,
+              name, stage_kind::serial_in_order,
               [n, mark](std::uint64_t&& v, emit<std::uint64_t> o) {
                 if (mark != nullptr) mark[v].store(true);
                 o(mix(v) + (*n)++);
@@ -184,9 +180,9 @@ struct chain {
                 for (std::uint64_t j = 0; j < v % 3; ++j) o(w + j);
               }));
           break;
-        case mid::expand_serial:
+        case mid::expand_in_order:
           ids.push_back(g.expand<std::uint64_t, std::uint64_t>(
-              name, stage_kind::serial,
+              name, stage_kind::serial_in_order,
               [n, mark](std::uint64_t&& v, emit<std::uint64_t> o) {
                 if (mark != nullptr) mark[v].store(true);
                 for (std::uint64_t j = 0; j < (v >> 3) % 3; ++j)
@@ -195,9 +191,9 @@ struct chain {
           break;
       }
     }
-    std::atomic<bool>* mark = s.mids.empty() ? arrived.get() : nullptr;
+    std::atomic<bool>* mark = s.empty() ? arrived.get() : nullptr;
     ids.push_back(g.sink<std::uint64_t>(
-        "snk", s.sink, [this, mark](std::uint64_t&& v) {
+        "snk", stage_kind::serial_in_order, [this, mark](std::uint64_t&& v) {
           if (mark != nullptr) mark[v].store(true);
           out.push_back(v);
         }));
@@ -227,13 +223,14 @@ TEST_P(StageMatrix, EveryScheduleMatchesTheElision) {
   chain ref(shape, base);
   (void)hq::pipe::execute(ref.g, backend::serial);
 
-  for (backend b : {backend::hyperqueue, backend::hyperqueue_element}) {
+  for (backend b : hq::pipe::parallel_backends()) {
     for (bool tight : {false, true}) {
       for (admission_policy pol :
            {admission_policy::none, admission_policy::block,
             admission_policy::shed, admission_policy::bounded_wait}) {
         edge_opts opts = base;
-        // 1 byte rounds up to the structural minimum of two segments.
+        // 1 byte rounds up to the structural minimum of two segments (the
+        // pthreads and tbb backends have no queue budget).
         if (tight) opts.memory_budget = 1;
         hq::pipe::exec_options eo;
         eo.workers = workers;
@@ -279,12 +276,11 @@ TEST(StageScheduling, DedupBelowStageCount) {
   // Dedup has four stages. Re-enqueueing a deferred stage at the deque
   // bottom lets downstream stages start first; at two or three workers
   // every worker then parks in a downstream wait and the source never runs.
-  hq::pipe::ensure_builtin_apps();
   for (unsigned w : {2u, 3u}) {
     for (backend b : {backend::hyperqueue, backend::hyperqueue_element}) {
-      hq::pipe::app_params p;
+      hq::apps::app_params p;
       p.workers = w;
-      const auto run = hq::pipe::run_app("dedup", b, p);
+      const auto run = hq::apps::run_app("dedup", b, p);
       EXPECT_TRUE(run.ok) << hq::pipe::to_string(b) << " workers=" << w
                           << " " << run.exec.error;
     }

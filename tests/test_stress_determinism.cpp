@@ -203,13 +203,13 @@ TEST(StressDeterminism, PlacementAndTopologyInvariance) {
     for (hq::placement_policy policy : policies) {
       for (unsigned workers : kWorkerCounts) {
         for (int iter = 0; iter < kInvarianceIterations; ++iter) {
-          ASSERT_EQ(run_pipeline(workers, 8, {policy, &topo, {}}),
+          ASSERT_EQ(run_pipeline(workers, 8, {policy, &topo}),
                     expected_pipeline)
               << "pipeline diverged at topology=" << spec
               << " policy=" << hq::to_string(policy) << " workers=" << workers
               << " iteration=" << iter;
           ASSERT_EQ(run_fanout(workers, kProducers, kPerProducer, kSeed, 8,
-                               {policy, &topo, {}}),
+                               {policy, &topo}),
                     expected_fanout)
               << "fan-out diverged at topology=" << spec
               << " policy=" << hq::to_string(policy) << " workers=" << workers

@@ -186,7 +186,7 @@ TEST(Placement, DeterministicAcrossCalls) {
 
 TEST(SchedulerPlacement, PerWorkerStatsReportAssignment) {
   const topology t = topology::synthetic("2x2");
-  hq::scheduler sched(4, {placement_policy::compact, &t, {}});
+  hq::scheduler sched(4, {placement_policy::compact, &t});
   const auto ws = sched.per_worker_stats();
   ASSERT_EQ(ws.size(), 4u);
   EXPECT_EQ(ws[0].node, 0);
@@ -208,24 +208,12 @@ TEST(SchedulerPlacement, PerWorkerStatsReportAssignment) {
 }
 
 TEST(SchedulerPlacement, PolicyNoneLeavesWorkersUnplaced) {
-  hq::scheduler sched(2, {placement_policy::none, nullptr, {}});
+  hq::scheduler sched(2, {placement_policy::none, nullptr});
   for (const auto& w : sched.per_worker_stats()) {
     EXPECT_EQ(w.cpu, -1);
     EXPECT_EQ(w.node, -1);
     EXPECT_FALSE(w.pinned);
   }
-}
-
-TEST(SchedulerPlacement, ExplicitCpusOverridePolicy) {
-  const topology t = topology::synthetic("2x2");
-  // Pin both workers on node 1's CPUs explicitly.
-  hq::scheduler sched(2, {placement_policy::compact, &t, {2, 3}});
-  const auto ws = sched.per_worker_stats();
-  ASSERT_EQ(ws.size(), 2u);
-  EXPECT_EQ(ws[0].cpu, 2);
-  EXPECT_EQ(ws[1].cpu, 3);
-  EXPECT_EQ(ws[0].node, 1);
-  EXPECT_EQ(ws[1].node, 1);
 }
 
 TEST(SchedulerPlacement, QueueHomeNodeFollowsPlan) {
@@ -237,7 +225,7 @@ TEST(SchedulerPlacement, QueueHomeNodeFollowsPlan) {
   const hq::queue_plan plan = hq::plan_queue_placement(g, 2, /*seed=*/42);
   ASSERT_EQ(plan.queue_node.size(), 1u);
   const topology t = topology::synthetic("2x2");
-  hq::scheduler sched(2, {placement_policy::compact, &t, {}});
+  hq::scheduler sched(2, {placement_policy::compact, &t});
   long long sum = 0;
   sched.run([&] {
     hq::hyperqueue<int> q(64, plan.queue_node[0]);
