@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
 
   // Virtual-time scaling: hyperqueue vs objects on the 3-stage pipeline
   // (both overlap the read stage; Section 6.3 reports equal performance).
-  auto t = hq::apps::bzip2::stage_times(cfg, input);
+  const auto t = hq::bench::median_stage_times(
+      [&] { return hq::apps::bzip2::stage_times(cfg, input); });
   const double blocks =
       static_cast<double>((input.size() + cfg.block_bytes - 1) / cfg.block_bytes);
   hq::sim::flat_spec spec;

@@ -1,16 +1,19 @@
 // Figure 11 reproduction: dedup speedup vs cores for Pthreads, TBB,
 // Objects and Hyperqueue.
 //
-// Stage costs and chunk statistics are measured on this host; speedup
-// curves come from the virtual-time models (the figure spans more cores
-// than a development host has — README "Substitutions"). Expected shape: hyperqueue leads pthreads by ~12-30% in the
-// 6-8 core range (fine-grained streaming vs list gathering / queue
+// Stage costs (per-stage medians of 5 passes) and chunk statistics are
+// measured on this host; speedup curves come from the virtual-time models
+// (the figure spans more cores than a development host has — README
+// "Substitutions"). Expected shape: hyperqueue leads pthreads by ~12-30%
+// in the 6-8 core range (fine-grained streaming vs list gathering / queue
 // overhead); TBB trails pthreads; everything saturates against the ~8%
 // serial output stage; the hyperqueue advantage narrows at high core
 // counts (task granularity), as in the paper.
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "apps/dedup/dedup.hpp"
 #include "calibrate.hpp"
@@ -31,18 +34,24 @@ int main(int argc, char** argv) {
   auto input =
       hq::util::gen_archive(cfg.input_bytes, cfg.dup_fraction, cfg.seed);
 
-  // 1. Host-measured characterization -> nested pipeline spec.
-  auto ch = hq::apps::dedup::stage_times(cfg, input);
+  // 1. Host-measured characterization -> nested pipeline spec. The
+  // iteration counts are a function of the input alone; the seconds are the
+  // per-stage medians over repeated passes.
+  hq::apps::dedup::characterization ch{};
+  const auto t = hq::bench::median_stage_times([&] {
+    ch = hq::apps::dedup::stage_times(cfg, input);
+    return std::vector<double>(std::begin(ch.seconds), std::end(ch.seconds));
+  });
   hq::sim::nested_spec spec;
   spec.coarse = ch.iterations[0];
   spec.fine_per_coarse = ch.iterations[2] / std::max<std::uint64_t>(1, ch.iterations[0]);
-  spec.fragment_cost = ch.seconds[0] / static_cast<double>(ch.iterations[0]);
-  spec.refine_cost = ch.seconds[1] / static_cast<double>(ch.iterations[1]);
-  spec.dedup_cost = ch.seconds[2] / static_cast<double>(ch.iterations[2]);
-  spec.compress_cost = ch.seconds[3] / static_cast<double>(ch.iterations[3]);
+  spec.fragment_cost = t[0] / static_cast<double>(ch.iterations[0]);
+  spec.refine_cost = t[1] / static_cast<double>(ch.iterations[1]);
+  spec.dedup_cost = t[2] / static_cast<double>(ch.iterations[2]);
+  spec.compress_cost = t[3] / static_cast<double>(ch.iterations[3]);
   spec.unique_fraction = static_cast<double>(ch.iterations[3]) /
                          static_cast<double>(ch.iterations[2]);
-  spec.output_cost = ch.seconds[4] / static_cast<double>(ch.iterations[4]);
+  spec.output_cost = t[4] / static_cast<double>(ch.iterations[4]);
   spec.jitter = 0.3;
   spec.seed = cfg.seed;
   const double serial = hq::sim::serial_time_nested(spec);

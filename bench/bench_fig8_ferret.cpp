@@ -1,11 +1,11 @@
 // Figure 8 reproduction: ferret speedup vs cores for Pthreads, TBB,
 // Objects (task dataflow) and Hyperqueue.
 //
-// Stage costs are measured on this host (serial kernels); the speedup
-// curves are produced by the virtual-time scheduling models because the
-// figure spans more cores than a development host has (README
-// "Substitutions"). The FPU-pairing
-// penalty of the paper's Bulldozer testbed is modeled past 16 cores.
+// Stage costs are measured on this host (serial kernels, per-stage median
+// of 5 passes); the speedup curves are produced by the virtual-time
+// scheduling models because the figure spans more cores than a development
+// host has (README "Substitutions"). The FPU-pairing penalty of the
+// paper's Bulldozer testbed is modeled past 16 cores.
 // Expected shape: pthreads ≈ TBB ≈ hyperqueue scaling to ~27x with a dip
 // past 16 cores; objects plateaus near 13x (unoverlapped input stage).
 //
@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
   if (quick) cfg.num_images = 60;
 
   // 1. Host-measured per-item stage costs.
-  auto t = hq::apps::ferret::stage_times(cfg);
+  const auto t = hq::bench::median_stage_times(
+      [&] { return hq::apps::ferret::stage_times(cfg); });
   const double n = static_cast<double>(cfg.num_images);
   hq::sim::flat_spec spec;
   spec.stages = {{true, t[0] / n},  {false, t[1] / n}, {false, t[2] / n},

@@ -18,8 +18,8 @@
 // conformance tests gate. Only the split-pipeline pool probe stays on its
 // hand-rolled variant (the split shape is not a linear chain).
 //
-// Knobs: --quick (smoke sizes). Every app moves kSliceBatch elements per
-// slice.
+// Knobs: --quick (smoke sizes). Every app moves 16 elements per slice (its
+// kSliceBatch constant; dedup's fragment edge moves 8 coarse chunks).
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -37,7 +37,6 @@
 namespace {
 
 constexpr unsigned kWorkers[] = {1, 2, 4, 8};
-constexpr std::size_t kSliceBatch = 16;
 
 struct run_record {
   unsigned workers = 0;
@@ -108,7 +107,6 @@ int main(int argc, char** argv) {
   hq::apps::bzip2::config bz;
   bz.input_bytes = quick ? (256u << 10) : (2u << 20);
   bz.block_bytes = 1u << 10;  // many small blocks: queue-bound
-  bz.slice_batch = kSliceBatch;
   auto bz_input = hq::util::gen_text(bz.input_bytes, bz.seed);
   auto bz_serial = hq::apps::bzip2::run_serial(bz, bz_input);
 
@@ -120,7 +118,6 @@ int main(int argc, char** argv) {
     hq::apps::bzip2::describe_pipeline(c, bz_input, &r, g);
     hq::pipe::exec_options eo;
     eo.workers = p;
-    eo.seed = c.seed;
     const auto ex = hq::pipe::execute(g, b, eo);
     return std::pair{ex.seconds, r.output == bz_serial.output};
   };
@@ -140,9 +137,9 @@ int main(int argc, char** argv) {
   //  * high water <= a bound set by the knobs alone, not by the stream
   //    length. The selective sync every W = split_window batches keeps at
   //    most W batches of B = split_batch blocks live. Both queues have
-  //    segments of L = 2*S blocks (S = slice_batch). q_in holds the live
-  //    blocks in ceil(W*B / L) segments, plus the consumer's drained head
-  //    segment and the producer's open tail. Each batch feeds at most
+  //    segments of L = 2*S blocks (S = bzip2::kSliceBatch). q_in holds the
+  //    live blocks in ceil(W*B / L) segments, plus the consumer's drained
+  //    head segment and the producer's open tail. Each batch feeds at most
   //    ceil(B/S) + ceil(B/L) compress children (a read slice is at most S
   //    blocks and ends at a q_in segment boundary), and each child writes
   //    its at most S <= L blocks into one q_out segment of its own;
@@ -151,10 +148,11 @@ int main(int argc, char** argv) {
   const auto ceil_div = [](std::size_t a, std::size_t b) {
     return (a + b - 1) / b;
   };
-  const std::size_t seg_len = 2 * bz.slice_batch;
+  constexpr std::size_t kSlice = hq::apps::bzip2::kSliceBatch;
+  const std::size_t seg_len = 2 * kSlice;
   const std::size_t seg_bound =
       ceil_div(bz.split_window * bz.split_batch, seg_len) + 2 +
-      bz.split_window * (ceil_div(bz.split_batch, bz.slice_batch) +
+      bz.split_window * (ceil_div(bz.split_batch, kSlice) +
                          ceil_div(bz.split_batch, seg_len));
   auto split_base = hq::apps::bzip2::run_hyperqueue_split(bz, bz_input);
   auto bz2 = bz;
@@ -198,7 +196,6 @@ int main(int argc, char** argv) {
   dd.fine_max = 512;
   dd.dup_fraction = 0.9;  // few unique payloads: compression stays off the
                           // critical path so queue overheads are visible
-  dd.slice_batch = kSliceBatch;
   auto dd_input = hq::util::gen_archive(dd.input_bytes, dd.dup_fraction, dd.seed);
   auto dd_serial = hq::apps::dedup::run_serial(dd, dd_input);
 
@@ -211,7 +208,6 @@ int main(int argc, char** argv) {
     hq::apps::dedup::describe_pipeline(c, dd_input, &table, &r, g);
     hq::pipe::exec_options eo;
     eo.workers = p;
-    eo.seed = c.seed;
     const auto ex = hq::pipe::execute(g, b, eo);
     return std::pair{ex.seconds, r.output == dd_serial.output};
   };
@@ -229,7 +225,6 @@ int main(int argc, char** argv) {
   fr.db_entries = 32;
   fr.dims = 8;
   fr.topk = 4;
-  fr.slice_batch = kSliceBatch;
   fr.threads = 1;
   auto fr_serial = hq::apps::ferret::run_serial(fr);
   const auto fr_db = hq::apps::ferret::build_db(fr);
@@ -242,7 +237,6 @@ int main(int argc, char** argv) {
     hq::apps::ferret::describe_pipeline(c, fr_db, &checksum, g);
     hq::pipe::exec_options eo;
     eo.workers = p;
-    eo.seed = c.seed;
     const auto ex = hq::pipe::execute(g, b, eo);
     return std::pair{ex.seconds, checksum == fr_serial.checksum};
   };
@@ -265,7 +259,7 @@ int main(int argc, char** argv) {
   if (FILE* f = std::fopen(json_path.c_str(), "w")) {
     std::fprintf(f, "{\n  \"bench\": \"slice_apps\",\n  \"quick\": %s,\n",
                  quick ? "true" : "false");
-    std::fprintf(f, "  \"slice_batch\": %zu,\n", kSliceBatch);
+    std::fprintf(f, "  \"slice_batch\": %zu,\n", kSlice);
     std::fprintf(f, "  \"apps\": [\n");
     bool first_app = true;
     for (const auto* app : {&bz_rec, &dd_rec, &fr_rec}) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdio>
+#include <vector>
 
 #include "conc/bounded_queue.hpp"
 #include "hq.hpp"
@@ -84,6 +85,23 @@ inline sim::overheads calibrate_overheads() {
       ov.task_spawn * 1e6, ov.hq_queue_op * 1e6, ov.pth_queue_op * 1e6,
       ov.tbb_token * 1e6);
   return ov;
+}
+
+/// Per-stage median over 5 host timing passes. `pass` returns one seconds
+/// value per stage; a single pass lets one noisy stage timing move every
+/// model output from run to run.
+template <typename Pass>
+std::vector<double> median_stage_times(Pass&& pass) {
+  constexpr int kPasses = 5;
+  std::vector<std::vector<double>> passes;
+  for (int i = 0; i < kPasses; ++i) passes.push_back(pass());
+  std::vector<double> med(passes[0].size());
+  for (std::size_t s = 0; s < med.size(); ++s) {
+    std::vector<double> xs;
+    for (const auto& t : passes) xs.push_back(t[s]);
+    med[s] = util::summarize(std::move(xs)).median;
+  }
+  return med;
 }
 
 /// The paper's machine shape: 2x AMD Opteron 6272 — 32 cores in 16 modules,

@@ -18,6 +18,10 @@ enum class backend;
 
 namespace hq::apps::bzip2 {
 
+/// Blocks moved per queue slice (Section 5.2), on both pipeline edges and
+/// in the loop-split variant.
+inline constexpr std::size_t kSliceBatch = 16;
+
 struct config {
   std::size_t input_bytes = 4u << 20;
   std::size_t block_bytes = 128u << 10;
@@ -25,7 +29,6 @@ struct config {
   std::uint64_t seed = 99;
   std::size_t split_batch = 8;   // blocks per batch in the loop-split variant
   std::size_t split_window = 4;  // batches in flight before a selective sync
-  std::size_t slice_batch = 16;  // blocks moved per queue slice (Section 5.2)
 };
 
 struct result {

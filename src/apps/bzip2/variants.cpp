@@ -95,7 +95,7 @@ void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input
 
   pipe::edge_opts opts;
   opts.capacity = 32;  // the PARSEC-style bound the pthreads variant used
-  opts.slice_batch = cfg.slice_batch;
+  opts.slice_batch = kSliceBatch;
   g.connect(read, compress, opts);
   g.connect(compress, write, opts);
 }
@@ -107,7 +107,6 @@ result run(const config& cfg, const std::vector<std::uint8_t>& input,
   describe_pipeline(cfg, input, &r, g);
   pipe::exec_options opt;
   opt.workers = cfg.threads;
-  opt.seed = cfg.seed;
   const pipe::exec_result ex = pipe::execute(g, b, opt);
   r.seconds = ex.seconds;
   r.seg_allocated = ex.pool.allocated;
@@ -166,17 +165,16 @@ void record_pool(result* r, const hyperqueue<block>& a,
 }
 
 /// Compress one batch of blocks and stream them out through write slices.
-void hq_compress_batch(std::vector<block> work, std::size_t batch,
-                       pushdep<block> out) {
+void hq_compress_batch(std::vector<block> work, pushdep<block> out) {
   for (auto& b : work) {
     b.data = util::mbzip_compress_block(b.data.data(), b.data.size());
   }
-  push_slices(out, work.begin(), work.end(), batch);
+  push_slices(out, work.begin(), work.end(), kSliceBatch);
 }
 
-void hq_writer(std::size_t batch, result* r, popdep<block> q) {
+void hq_writer(result* r, popdep<block> q) {
   for (;;) {
-    auto rs = q.get_read_slice(batch);
+    auto rs = q.get_read_slice(kSliceBatch);
     if (rs.empty()) break;
     for (const block& b : rs) write_block(r, b.data);
     rs.release();
@@ -199,8 +197,8 @@ result run_hyperqueue_split(const config& cfg,
   write_header(&r, nblocks);
   scheduler sched(cfg.threads);
   sched.run([&] {
-    hyperqueue<block> q_in(2 * cfg.slice_batch);
-    hyperqueue<block> q_out(2 * cfg.slice_batch);
+    hyperqueue<block> q_in(2 * kSliceBatch);
+    hyperqueue<block> q_out(2 * kSliceBatch);
     auto blocks = slice_blocks(cfg, input);
     std::size_t produced = 0;
     std::size_t window = 0;
@@ -211,26 +209,26 @@ result run_hyperqueue_split(const config& cfg,
       // writer task observes exactly the compress tasks spawned before it.
       push_slices(q_in, blocks.begin() + static_cast<std::ptrdiff_t>(produced),
                   blocks.begin() + static_cast<std::ptrdiff_t>(produced + batch),
-                  cfg.slice_batch);
+                  kSliceBatch);
       produced += batch;
       hq::spawn(
-          [batch, slice = cfg.slice_batch](popdep<block> in, pushdep<block> out) {
+          [batch](popdep<block> in, pushdep<block> out) {
             std::size_t done = 0;
             while (done < batch) {
               // Exactly `batch` values are owed to this task, so the slice
               // is never empty here.
-              auto rs = in.get_read_slice(std::min(slice, batch - done));
+              auto rs = in.get_read_slice(std::min(kSliceBatch, batch - done));
               std::vector<block> work;
               work.reserve(rs.size());
               for (auto& b : rs) work.push_back(std::move(b));
               done += rs.size();
               rs.release();
-              spawn(hq_compress_batch, std::move(work), slice, out);
+              spawn(hq_compress_batch, std::move(work), out);
             }
             sync();
           },
           (popdep<block>)q_in, (pushdep<block>)q_out);
-      hq::spawn(hq_writer, cfg.slice_batch, &r, (popdep<block>)q_out);
+      hq::spawn(hq_writer, &r, (popdep<block>)q_out);
       if (++window >= cfg.split_window) {
         q_out.sync_pop();  // paper: "sync (popdep<T>)queue;"
         window = 0;

@@ -36,10 +36,6 @@ struct config {
   std::size_t fine_min = 512, fine_max = 16u << 10;
   unsigned threads = 1;
   std::uint64_t seed = 7;
-  std::size_t slice_batch = 16;  // records moved per queue slice (Section 5.2)
-  /// Slice batch of the fragment -> refine edge: how many coarse chunks
-  /// one queue slice, and so one refine child task, carries.
-  std::size_t coarse_batch = 8;
 };
 
 /// Shared state of one unique content chunk.

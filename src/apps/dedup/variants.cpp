@@ -16,6 +16,16 @@
 
 namespace hq::apps::dedup {
 
+namespace {
+
+/// Records moved per queue slice on the record edges (Section 5.2).
+constexpr std::size_t kSliceBatch = 16;
+/// Slice batch of the fragment -> refine edge: how many coarse chunks one
+/// queue slice, and so one refine child task, carries.
+constexpr std::size_t kCoarseBatch = 8;
+
+}  // namespace
+
 // ----------------------------------------------------------------- serial
 
 result run_serial(const config& cfg, const std::vector<std::uint8_t>& input) {
@@ -83,25 +93,23 @@ void describe_pipeline(const config& cfg, const std::vector<std::uint8_t>& input
                                     ++r->total_chunks;
                                   });
 
-  // Coarse tasks move in coarse_batch groups; record edges keep the PARSEC
+  // Coarse tasks move in kCoarseBatch groups; record edges keep the PARSEC
   // queue bounds and the local-queue/write-queue segment sizes.
   pipe::edge_opts frag_edge;
   frag_edge.capacity = 32;
-  frag_edge.slice_batch = cfg.coarse_batch;
+  frag_edge.slice_batch = kCoarseBatch;
   g.connect(fragment, refine, frag_edge);
 
   pipe::edge_opts refine_edge;
   refine_edge.capacity = 256;
-  refine_edge.slice_batch = cfg.slice_batch;
+  refine_edge.slice_batch = kSliceBatch;
   refine_edge.segment_length = 64;
-  refine_edge.traffic = 8.0;  // many fine records per coarse chunk
   g.connect(refine, dedup_compress, refine_edge);
 
   pipe::edge_opts out_edge;
   out_edge.capacity = 256;
-  out_edge.slice_batch = cfg.slice_batch;
+  out_edge.slice_batch = kSliceBatch;
   out_edge.segment_length = 256;
-  out_edge.traffic = 8.0;
   g.connect(dedup_compress, output, out_edge);
 }
 
@@ -113,7 +121,6 @@ result run(const config& cfg, const std::vector<std::uint8_t>& input,
   describe_pipeline(cfg, input, &table, &r, g);
   pipe::exec_options opt;
   opt.workers = cfg.threads;
-  opt.seed = cfg.seed;
   const pipe::exec_result ex = pipe::execute(g, b, opt);
   r.seconds = ex.seconds;
   r.unique_chunks = table.unique_chunks();

@@ -31,7 +31,6 @@ struct config {
   std::size_t topk = 16;          // neighbours reported per query
   unsigned threads = 1;           // worker threads / cores to use
   std::uint64_t seed = 42;
-  std::size_t slice_batch = 16;   // items moved per queue slice (Section 5.2)
 };
 
 /// One image travelling through the pipeline.

@@ -19,6 +19,9 @@ namespace hq::apps::ferret {
 
 namespace {
 
+/// Items moved per queue slice (Section 5.2).
+constexpr std::size_t kSliceBatch = 16;
+
 item make_item(const config& cfg, std::uint64_t seq, std::string path) {
   item it;
   it.seq = seq;
@@ -79,7 +82,7 @@ void describe_pipeline(const config& cfg, const feature_db& db,
 
   pipe::edge_opts opts;
   opts.capacity = 64;  // the PARSEC-style bound the pthreads variant used
-  opts.slice_batch = cfg.slice_batch;
+  opts.slice_batch = kSliceBatch;
   g.connect(input, middle, opts);
   g.connect(middle, output, opts);
 }
@@ -91,7 +94,6 @@ result run(const config& cfg, pipe::backend b) {
   describe_pipeline(cfg, db, &r.checksum, g);
   pipe::exec_options opt;
   opt.workers = cfg.threads;
-  opt.seed = cfg.seed;
   const pipe::exec_result ex = pipe::execute(g, b, opt);
   r.seconds = ex.seconds;
   return r;

@@ -24,7 +24,6 @@ namespace {
 pipe::exec_options options(const app_params& p) {
   pipe::exec_options opt;
   opt.workers = p.workers;
-  opt.seed = p.seed;
   return opt;
 }
 

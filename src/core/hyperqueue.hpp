@@ -378,9 +378,9 @@ class hyperqueue {
   }
 
   /// As above, with the queue's segment arenas pinned to NUMA node
-  /// `home_node` (e.g. the consumer stage's node from plan_queue_placement,
-  /// sched/partition.hpp). home_node < 0 = the default follow-the-allocating-
-  /// worker behavior.
+  /// `home_node` (e.g. the node of the consumer stage's chain block,
+  /// pipeline/runner.cpp). home_node < 0 = the default follow-the-
+  /// allocating-worker behavior.
   hyperqueue(std::size_t segment_length, int home_node)
       : cb_(new detail::queue_cb(detail::make_element_ops<T>(), segment_length)) {
     cb_->set_home_node(home_node);

@@ -293,13 +293,14 @@ struct queue_cb {
   qattach* my_attachment(std::uint8_t need);
 
   // ---- topology ------------------------------------------------------------
-  /// Pin fresh segment arenas to a NUMA node (e.g. the consumer's node from
-  /// plan_queue_placement). Default -1: each fresh segment follows the
-  /// *allocating worker's* home node (scheduler::current_worker_node), which
-  /// is the first-touch-like behavior — and the plain heap when the worker
-  /// is unplaced. Takes effect for segments allocated after the call;
-  /// already-pooled segments keep their arena (segments recycle far more
-  /// often than they are created, so set this before the first push).
+  /// Pin fresh segment arenas to a NUMA node (e.g. the node of the
+  /// consumer's chain block, pipeline/runner.cpp). Default -1: each fresh
+  /// segment follows the *allocating worker's* home node
+  /// (scheduler::current_worker_node), which is the first-touch-like
+  /// behavior — and the plain heap when the worker is unplaced. Takes
+  /// effect for segments allocated after the call; already-pooled segments
+  /// keep their arena (segments recycle far more often than they are
+  /// created, so set this before the first push).
   void set_home_node(int node) noexcept {
     home_node_.store(node, std::memory_order_relaxed);
   }

@@ -12,7 +12,7 @@
 //
 // Synthetic topologies exist so single-node CI machines exercise every
 // multi-node code path (per-node arenas, distance-ordered stealing, the
-// shard partitioner) deterministically. Placement built on a synthetic
+// pipeline runner's chain-block queue homes) deterministically. Placement built on a synthetic
 // model is *logical*: worker pinning to CPUs the real machine lacks simply
 // fails and is recorded as unpinned, while arenas, steal order and the
 // locality counters all follow the synthetic node ids.

@@ -199,19 +199,4 @@ graph::plan graph::compile() const {
   return p;
 }
 
-hq::queue_graph graph::build_queue_graph() const {
-  plan p = compile();
-  hq::queue_graph g;
-  g.num_stages = static_cast<unsigned>(p.order.size());
-  g.queues.reserve(p.edges.size());
-  for (std::size_t i = 0; i < p.edges.size(); ++i) {
-    hq::queue_graph::queue_desc q;
-    q.producers = {static_cast<unsigned>(i)};
-    q.consumer = static_cast<unsigned>(i + 1);
-    q.traffic = edges_[p.edges[i]].opts.traffic;
-    g.queues.push_back(std::move(q));
-  }
-  return g;
-}
-
 }  // namespace hq::pipe

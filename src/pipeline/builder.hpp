@@ -35,9 +35,9 @@
 // elements) is a backend choice, not an edge knob.
 //
 // Misuse (type-mismatched edges, unattached stages, parallel sinks) throws
-// graph_error at connect()/compile() time. The builder also emits the
-// stage->queue attachment graph (build_queue_graph) that feeds
-// plan_queue_placement, so callers never pass the graph explicitly.
+// graph_error at connect()/compile() time. The compiled chain is also all
+// the hyperqueue backend needs to home each queue on its consumer's block
+// of stages under a placement policy, so callers never pass a placement.
 #pragma once
 
 #include <cassert>
@@ -53,7 +53,6 @@
 
 #include "core/fault.hpp"
 #include "core/hyperqueue.hpp"
-#include "sched/partition.hpp"
 #include "sched/spawn.hpp"
 
 namespace hq::pipe {
@@ -73,9 +72,6 @@ struct edge_opts {
   /// Hyperqueue segment length (Section 5.1); 0 = 2 * slice_batch so a
   /// batch normally fits one contiguous grant.
   std::size_t segment_length = 0;
-  /// Relative element volume; feeds the placement partitioner's cut
-  /// objective (sched/partition.hpp).
-  double traffic = 1.0;
   /// Memory budget of this edge's hyperqueue in bytes (0 = the
   /// HQ_QUEUE_BUDGET environment default, itself unlimited when unset).
   /// Producers that would grow the queue past the cap block cooperatively
@@ -595,11 +591,6 @@ class graph {
   /// on misuse (no/duplicate source or sink, unattached stage, parallel
   /// sink, fan-out nesting beyond kMaxDepth).
   [[nodiscard]] plan compile() const;
-
-  /// The stage->queue attachment graph of the declared pipeline, in chain
-  /// order — the input plan_queue_placement needs, built by the runtime
-  /// instead of being passed in by callers.
-  [[nodiscard]] hq::queue_graph build_queue_graph() const;
 
   /// Install (or clear, with null) the admission gate the stage wrappers
   /// consult. pipe::execute owns the gate and scopes it to one run.

@@ -11,7 +11,6 @@
 
 #include "conc/bounded_queue.hpp"
 #include "pipeline/tbb_pipeline.hpp"
-#include "sched/partition.hpp"
 #include "util/stats.hpp"
 
 namespace hq::pipe {
@@ -86,11 +85,11 @@ exec_result run_serial_elision(graph& g) {
 
 // ---- hyperqueue backend ----------------------------------------------------
 // One hyperqueue per edge, created by the root task (which thereby owns
-// them, per the attachment model) and homed per the partition plan; stage
-// frames spawned in chain order — the serial-elision order the queues'
-// visibility rules assume, and the order the scheduler starts stage frames
-// in (sched/scheduler.hpp). The element backend is the same lowering with
-// the element data path on every edge.
+// them, per the attachment model) and homed on its consumer's chain block;
+// stage frames spawned in chain order — the serial-elision order the
+// queues' visibility rules assume, and the order the scheduler starts stage
+// frames in (sched/scheduler.hpp). The element backend is the same lowering
+// with the element data path on every edge.
 
 detail::hq_knobs knobs_for(const graph& g, const graph::plan& p,
                            std::size_t chain_pos, bool bulk) {
@@ -118,16 +117,15 @@ exec_result run_hyperqueue_backend(graph& g, const exec_options& opt,
   else
     sched = std::make_unique<scheduler>(opt.workers);
 
-  // Runtime-fed placement: the builder knows the stage->queue attachment
-  // graph, so under a placement policy each queue's segments are homed on
-  // its consumer stage's node without the caller supplying a queue_graph.
+  // Runtime-fed placement: under a placement policy on k > 1 nodes the
+  // n-stage chain splits into k contiguous, balanced blocks (stage i on
+  // node i*k/n, so only k-1 edges cross nodes), and queue j (stage j ->
+  // j+1) is homed on its consumer's block.
   std::vector<int> nodes(p.edges.size(), -1);
-  if (sched->policy() != placement_policy::none &&
-      sched->topo().num_nodes() > 1) {
-    queue_plan plan = plan_queue_placement(
-        g.build_queue_graph(), sched->topo().num_nodes(), opt.seed);
+  const std::size_t k = sched->topo().num_nodes();
+  if (sched->policy() != placement_policy::none && k > 1) {
     for (std::size_t j = 0; j < p.edges.size(); ++j)
-      nodes[j] = plan.queue_node[j];
+      nodes[j] = static_cast<int>((j + 1) * k / n);
   }
 
   exec_result res;

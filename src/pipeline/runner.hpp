@@ -6,11 +6,11 @@
 //                         one thread, emissions passed as stack references.
 //                         The correctness reference every other backend is
 //                         gated against.
-//   hyperqueue          — hyperqueues with the slice (bulk) data path; the
-//                         scheduler's placement policy feeds
-//                         plan_queue_placement from the graph's own
-//                         attachment topology and homes each queue on its
-//                         consumer stage's node. Each stage loop is a
+//   hyperqueue          — hyperqueues with the slice (bulk) data path;
+//                         under a placement policy on k > 1 nodes the
+//                         chain splits into k contiguous stage blocks and
+//                         each queue is homed on its consumer's block's
+//                         node. Each stage loop is a
 //                         stage frame (spawn_stage): the scheduler starts
 //                         them in chain order and never nests one inside
 //                         another's blocking wait, so with workers >= stages
@@ -48,7 +48,6 @@ enum class backend { serial, hyperqueue, hyperqueue_element, pthreads, tbb };
 
 struct exec_options {
   unsigned workers = 1;
-  std::uint64_t seed = 0;
   /// Hyperqueue backend: explicit placement; null = environment-driven
   /// (HQ_PLACEMENT / HQ_TOPOLOGY via the scheduler's default ctor).
   const scheduler::placement_config* placement = nullptr;

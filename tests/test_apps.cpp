@@ -206,7 +206,9 @@ TEST(BzipApp, LoopSplitBoundsQueueGrowth) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, AppParam, ::testing::Values(1u, 2u, 4u),
                          [](const auto& info) {
-                           return "P" + std::to_string(info.param);
+                           std::string name = "P";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -162,7 +162,9 @@ TEST_P(DataflowParam, VersionOutlivesVariable) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, DataflowParam, ::testing::Values(1u, 2u, 4u, 8u),
                          [](const auto& info) {
-                           return "P" + std::to_string(info.param);
+                           std::string name = "P";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(Dataflow, LongMixedChainStress) {

@@ -1,12 +1,14 @@
 // Tests for the per-worker frame/attachment recycling pools
 // (sched/obj_pool.hpp): steady-state pipelines must stop allocating task
 // frames and qattaches after warm-up, recycling must survive cross-worker
-// frees (frames are freed by whichever worker runs finish()), and the
-// hq::call fast path must not depend on heap-allocated completion state.
+// frees (frames are freed by whichever worker runs finish()), a full return
+// stack must hand blocks to the freeing worker, and the hq::call fast path
+// must not depend on heap-allocated completion state.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "hq.hpp"
@@ -207,17 +209,42 @@ TEST(FramePool, TwoNodeTopologyCountsLocality) {
             fp.allocated + fp.recycled);
 }
 
-TEST(FramePool, PoolCapEnvKnobStillRecycles) {
-  // A tiny return-stack cap must not break correctness — blocks migrate to
-  // the freeing worker instead of piling up at the owner.
-  ::setenv("HQ_FRAME_POOL_CAP", "4", 1);
-  {
-    hq::scheduler sched(4);
-    spawn_rounds(sched, 10, 128);
-    const auto fp = sched.frame_pool_stats();
-    EXPECT_GT(fp.allocated + fp.recycled, 0u);
-  }
-  ::unsetenv("HQ_FRAME_POOL_CAP");
+TEST(FramePool, ReturnCapOverflowMigratesToFreeingWorker) {
+  // One thread drives the pool directly, so every hand-off is exact: of the
+  // blocks magazine 0 allocated and worker 1 frees, the first kCap park on
+  // magazine 0's return stack and the rest migrate to magazine 1's own
+  // freelist instead of piling up at the owner.
+  constexpr std::size_t kCap = 4;
+  constexpr std::size_t kBlocks = 10;
+  hq::detail::obj_pool pool;
+  pool.init(2, 64, kCap);
+  std::vector<void*> blocks;
+  for (std::size_t i = 0; i < kBlocks; ++i) blocks.push_back(pool.alloc(0));
+  for (void* b : blocks) pool.free(b, /*owner=*/0, /*freeing=*/1);
+  const std::set<void*> parked(blocks.begin(), blocks.begin() + kCap);
+  const std::set<void*> migrated(blocks.begin() + kCap, blocks.end());
+
+  // Worker 1 reuses exactly the migrated blocks; only then does it carve.
+  std::vector<void*> w1;
+  for (std::size_t i = 0; i < kBlocks - kCap; ++i) w1.push_back(pool.alloc(1));
+  EXPECT_EQ(std::set<void*>(w1.begin(), w1.end()), migrated);
+  auto s = pool.stats();
+  EXPECT_EQ(s.allocated, kBlocks);
+  EXPECT_EQ(s.recycled, kBlocks - kCap);
+  w1.push_back(pool.alloc(1));
+  EXPECT_EQ(pool.stats().allocated, kBlocks + 1);
+
+  // The owner adopts its parked returns: exactly the first kCap blocks.
+  std::vector<void*> w0;
+  for (std::size_t i = 0; i < kCap; ++i) w0.push_back(pool.alloc(0));
+  EXPECT_EQ(std::set<void*>(w0.begin(), w0.end()), parked);
+  s = pool.stats();
+  EXPECT_EQ(s.allocated, kBlocks + 1);
+  EXPECT_EQ(s.recycled, kBlocks);
+
+  for (void* b : w0) pool.free(b, 0, 0);
+  for (void* b : w1) pool.free(b, 1, 1);
+  EXPECT_EQ(pool.stats().live, 0u);
 }
 
 }  // namespace

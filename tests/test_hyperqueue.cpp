@@ -362,7 +362,9 @@ TEST_P(HyperqueueParam, NestedPipelinesOnSharedWriteQueue) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, HyperqueueParam, ::testing::Values(1u, 2u, 4u, 8u),
                          [](const auto& info) {
-                           return "P" + std::to_string(info.param);
+                           std::string name = "P";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace
@@ -410,7 +412,9 @@ TEST_P(Figure4, ScenarioReproducesPaperOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, Figure4, ::testing::Values(1u, 2u, 4u, 8u),
                          [](const auto& info) {
-                           return "P" + std::to_string(info.param);
+                           std::string name = "P";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

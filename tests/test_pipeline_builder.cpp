@@ -1,9 +1,8 @@
 // Stage-graph builder and runner tests: declaration-time misuse diagnostics,
-// knob propagation into the execution plan and the auto-built queue graph,
-// serial-elision-order recovery on every backend (including the multi-level
-// reorder behind expand stages with irregular and zero fan-out), and
-// runtime-fed queue placement (exec_result.queue_nodes must equal what
-// plan_queue_placement derives from the graph's own attachment topology).
+// knob propagation into the execution plan, serial-elision-order recovery
+// on every backend (including the multi-level reorder behind expand stages
+// with irregular and zero fan-out), and runtime-fed queue placement
+// (exec_result.queue_nodes must follow the contiguous chain split).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,7 +14,6 @@
 
 #include "core/topology.hpp"
 #include "pipeline/runner.hpp"
-#include "sched/partition.hpp"
 
 namespace {
 
@@ -111,10 +109,8 @@ TEST(PipelineBuilder, KnobsTravelOnEdges) {
   a.capacity = 5;
   a.slice_batch = 3;
   a.segment_length = 32;
-  a.traffic = 2.5;
   edge_opts b;
   b.capacity = 9;
-  b.traffic = 7.0;
   g.connect(src, mid, a);
   g.connect(mid, snk, b);
 
@@ -132,18 +128,6 @@ TEST(PipelineBuilder, KnobsTravelOnEdges) {
   ASSERT_EQ(plan.edge_depth.size(), 2u);
   EXPECT_EQ(plan.edge_depth[0], 1u);  // source seq only
   EXPECT_EQ(plan.edge_depth[1], 2u);  // + expand sub-seq
-
-  // The attachment graph the placement partitioner consumes is derived from
-  // the same declaration: chain positions as stage ids, declared traffic.
-  const hq::queue_graph qg = g.build_queue_graph();
-  EXPECT_EQ(qg.num_stages, 3u);
-  ASSERT_EQ(qg.queues.size(), 2u);
-  ASSERT_EQ(qg.queues[0].producers.size(), 1u);
-  EXPECT_EQ(qg.queues[0].producers[0], 0u);
-  EXPECT_EQ(qg.queues[0].consumer, 1u);
-  EXPECT_DOUBLE_EQ(qg.queues[0].traffic, 2.5);
-  EXPECT_EQ(qg.queues[1].consumer, 2u);
-  EXPECT_DOUBLE_EQ(qg.queues[1].traffic, 7.0);
 }
 
 // ------------------------------------------------ in-order delivery recovery
@@ -235,50 +219,53 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------------ runtime-fed placement
 
-// With a placement policy on a multi-node (synthetic) topology, the runner
-// must feed plan_queue_placement from the graph's own attachment topology
-// and home each edge queue where the plan says — no caller wiring.
-TEST(PipelinePlacement, QueueHomesFollowPartitionPlan) {
-  const hq::topology topo = hq::topology::synthetic("2x4");
-  ASSERT_EQ(topo.num_nodes(), 2u);
+// The queue homes of an n-stage identity chain on the hyperqueue backend.
+std::vector<int> chain_queue_nodes(unsigned stages, const hq::topology& topo,
+                                   hq::placement_policy policy) {
   hq::scheduler::placement_config pc;
-  pc.policy = hq::placement_policy::compact;
+  pc.policy = policy;
   pc.topo = &topo;
-
-  constexpr std::uint64_t kSeed = 11;
   graph g;
-  auto src = g.source<std::uint64_t>("src", [](emit<std::uint64_t> out) {
-    for (std::uint64_t i = 0; i < 64; ++i) out(std::uint64_t{i});
-  });
-  auto mid = g.stage<std::uint64_t, std::uint64_t>(
-      "id", stage_kind::parallel,
-      [](std::uint64_t&& v, emit<std::uint64_t> out) { out(std::move(v)); });
-  auto snk = g.sink<std::uint64_t>("snk", stage_kind::serial_in_order,
-                                   [](std::uint64_t&&) {});
-  edge_opts heavy;
-  heavy.traffic = 4.0;
-  g.connect(src, mid);
-  g.connect(mid, snk, heavy);
-
+  hq::pipe::stage_id prev =
+      g.source<std::uint64_t>("src", [](emit<std::uint64_t> out) {
+        for (std::uint64_t i = 0; i < 64; ++i) out(std::uint64_t{i});
+      });
+  for (unsigned i = 1; i + 1 < stages; ++i) {
+    auto mid = g.stage<std::uint64_t, std::uint64_t>(
+        "id" + std::to_string(i), stage_kind::parallel,
+        [](std::uint64_t&& v, emit<std::uint64_t> out) { out(std::move(v)); });
+    g.connect(prev, mid);
+    prev = mid;
+  }
+  g.connect(prev, g.sink<std::uint64_t>("snk", stage_kind::serial_in_order,
+                                        [](std::uint64_t&&) {}));
   hq::pipe::exec_options opt;
   opt.workers = 4;
-  opt.seed = kSeed;
   opt.placement = &pc;
-  const auto ex = hq::pipe::execute(g, backend::hyperqueue, opt);
+  return hq::pipe::execute(g, backend::hyperqueue, opt).queue_nodes;
+}
 
-  const hq::queue_plan plan =
-      hq::plan_queue_placement(g.build_queue_graph(), topo.num_nodes(), kSeed);
-  ASSERT_EQ(plan.queue_node.size(), 2u);
-  ASSERT_EQ(ex.queue_nodes.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(ex.queue_nodes[i], plan.queue_node[i]) << "queue " << i;
-    EXPECT_GE(ex.queue_nodes[i], 0);
-    EXPECT_LT(ex.queue_nodes[i], 2);
-  }
+// With a placement policy on a multi-node (synthetic) topology, the runner
+// splits the n-stage chain into k contiguous blocks (stage i on node
+// i*k/n) and homes queue j on its consumer's block — no caller wiring.
+TEST(PipelinePlacement, QueueHomesFollowChainBlocks) {
+  const hq::topology topo = hq::topology::synthetic("2x4");
+  ASSERT_EQ(topo.num_nodes(), 2u);
+  const auto compact = hq::placement_policy::compact;
+  EXPECT_EQ(chain_queue_nodes(2, topo, compact), (std::vector<int>{1}));
+  EXPECT_EQ(chain_queue_nodes(3, topo, compact), (std::vector<int>{0, 1}));
+  EXPECT_EQ(chain_queue_nodes(5, topo, compact),
+            (std::vector<int>{0, 0, 1, 1}));
+
+  // One node, or no policy: every queue stays on the default heap.
+  const hq::topology one = hq::topology::synthetic("1x4");
+  EXPECT_EQ(chain_queue_nodes(5, one, compact), (std::vector<int>(4, -1)));
+  EXPECT_EQ(chain_queue_nodes(5, topo, hq::placement_policy::none),
+            (std::vector<int>(4, -1)));
 }
 
 // Without a placement policy, queues stay on the default heap (-1): the
-// partitioner must not run and must not perturb single-node behavior.
+// chain split must not run and must not perturb single-node behavior.
 TEST(PipelinePlacement, NoPolicyMeansDefaultHeap) {
   hq::scheduler::placement_config pc;  // policy none
   graph g;

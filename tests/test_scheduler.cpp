@@ -120,7 +120,9 @@ TEST_P(SchedulerParam, WorkersReported) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, SchedulerParam, ::testing::Values(1u, 2u, 4u, 8u),
                          [](const auto& info) {
-                           return "P" + std::to_string(info.param);
+                           std::string name = "P";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(Scheduler, StatsCountSpawns) {

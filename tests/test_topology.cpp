@@ -1,22 +1,19 @@
-// Topology model, placement planning and partitioning tests.
+// Topology model and placement planning tests.
 //
 // The sysfs parser runs against golden fixture trees (tests/fixtures/sysfs,
 // injected via from_sysfs's root parameter) so it is tested byte-for-byte
-// regardless of the CI machine; the synthetic specs, the placement planner
-// and the hypergraph partitioner are pure functions and are tested for the
-// properties the runtime relies on — determinism above all, since placement
-// feeds arena allocation and steal order while the output-determinism gates
-// must hold for any placement.
+// regardless of the CI machine; the synthetic specs and the placement
+// planner are pure functions and are tested for the properties the runtime
+// relies on — determinism above all, since placement feeds arena
+// allocation and steal order while the output-determinism gates must hold
+// for any placement.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/topology.hpp"
 #include "hq.hpp"
-#include "sched/partition.hpp"
 
 namespace {
 
@@ -217,19 +214,15 @@ TEST(SchedulerPlacement, PolicyNoneLeavesWorkersUnplaced) {
 }
 
 TEST(SchedulerPlacement, QueueHomeNodeFollowsPlan) {
-  // Wire a queue's arena to a node chosen by the partitioner and run a
-  // pipeline through it: behavior (and output) must be unchanged.
-  hq::queue_graph g;
-  g.num_stages = 2;
-  g.queues.push_back({{0}, 1, 1.0});
-  const hq::queue_plan plan = hq::plan_queue_placement(g, 2, /*seed=*/42);
-  ASSERT_EQ(plan.queue_node.size(), 1u);
+  // Home a queue's arena on node 1 of a two-node model and run a pipeline
+  // through it: behavior (and output) must be unchanged.
+  constexpr int kNode = 1;
   const topology t = topology::synthetic("2x2");
   hq::scheduler sched(2, {placement_policy::compact, &t});
   long long sum = 0;
   sched.run([&] {
-    hq::hyperqueue<int> q(64, plan.queue_node[0]);
-    EXPECT_EQ(q.home_node(), plan.queue_node[0]);
+    hq::hyperqueue<int> q(64, kNode);
+    EXPECT_EQ(q.home_node(), kNode);
     hq::spawn(
         [](hq::pushdep<int> out) {
           for (int i = 0; i < 10000; ++i) out.push(i);
@@ -243,102 +236,6 @@ TEST(SchedulerPlacement, QueueHomeNodeFollowsPlan) {
     hq::sync();
   });
   EXPECT_EQ(sum, 10000LL * 9999 / 2);
-}
-
-// -------------------------------------------------------------- partitioner
-
-TEST(Partition, DeterministicFromSeed) {
-  hq::hypergraph g;
-  g.num_vertices = 32;
-  for (unsigned e = 0; e < 48; ++e) {
-    hq::hypergraph::edge ed;
-    ed.pins = {e % 32, (e * 7 + 3) % 32, (e * 13 + 5) % 32};
-    ed.weight = 1.0 + e % 5;
-    g.edges.push_back(ed);
-  }
-  const auto a = hq::partition_greedy(g, 4, 7);
-  const auto b = hq::partition_greedy(g, 4, 7);
-  EXPECT_EQ(a.assignment, b.assignment);
-  EXPECT_EQ(a.cut_weight, b.cut_weight);
-  // A different seed is allowed to (and here does not have to) differ, but
-  // must still be a valid partition.
-  const auto c = hq::partition_greedy(g, 4, 8);
-  for (unsigned blk : c.assignment) EXPECT_LT(blk, 4u);
-}
-
-TEST(Partition, RespectsBalanceCap) {
-  hq::hypergraph g;
-  g.num_vertices = 40;  // no edges: pure balance
-  const auto r = hq::partition_greedy(g, 4, 1, 0.2);
-  std::vector<unsigned> count(4, 0);
-  for (unsigned blk : r.assignment) {
-    ASSERT_LT(blk, 4u);
-    ++count[blk];
-  }
-  for (unsigned c : count) EXPECT_LE(c, 12u);  // ceil(40/4)*1.2
-  EXPECT_EQ(r.cut_weight, 0.0);
-}
-
-TEST(Partition, KeepsCliqueTogether) {
-  // Two 4-vertex cliques joined by nothing: 2 blocks must cut zero edges.
-  hq::hypergraph g;
-  g.num_vertices = 8;
-  for (unsigned base : {0u, 4u}) {
-    for (unsigned i = 0; i < 4; ++i) {
-      for (unsigned j = i + 1; j < 4; ++j) {
-        g.edges.push_back({{base + i, base + j}, 1.0});
-      }
-    }
-  }
-  const auto r = hq::partition_greedy(g, 2, 3);
-  EXPECT_EQ(r.cut_weight, 0.0);
-  std::set<unsigned> first(r.assignment.begin(), r.assignment.begin() + 4);
-  std::set<unsigned> second(r.assignment.begin() + 4, r.assignment.end());
-  EXPECT_EQ(first.size(), 1u);
-  EXPECT_EQ(second.size(), 1u);
-  EXPECT_NE(*first.begin(), *second.begin());
-}
-
-TEST(Partition, SingleBlockShortCircuits) {
-  hq::hypergraph g;
-  g.num_vertices = 5;
-  g.edges.push_back({{0, 1, 2}, 2.0});
-  const auto r = hq::partition_greedy(g, 1, 0);
-  for (unsigned blk : r.assignment) EXPECT_EQ(blk, 0u);
-  EXPECT_EQ(r.cut_weight, 0.0);
-  EXPECT_EQ(r.max_block_weight, 5.0);
-}
-
-TEST(QueuePlan, ConsumerOwnsArena) {
-  // Two independent producer->consumer pairs on 2 nodes: the balance cap
-  // (2 stages per node) admits the zero-cut layout, so the planner must
-  // find it and each pair must land node-internal.
-  hq::queue_graph g;
-  g.num_stages = 4;
-  g.queues.push_back({{0}, 2, 4.0});
-  g.queues.push_back({{1}, 3, 4.0});
-  const auto plan = hq::plan_queue_placement(g, 2, 11);
-  ASSERT_EQ(plan.stage_node.size(), 4u);
-  ASSERT_EQ(plan.queue_node.size(), 2u);
-  EXPECT_EQ(plan.queue_node[0],
-            static_cast<int>(plan.stage_node[g.queues[0].consumer]));
-  EXPECT_EQ(plan.queue_node[1],
-            static_cast<int>(plan.stage_node[g.queues[1].consumer]));
-  const auto& s = plan.stage_node;
-  EXPECT_EQ(s[0], s[2]);
-  EXPECT_EQ(s[1], s[3]);
-  EXPECT_NE(s[0], s[1]);  // balance: one pair per node
-  EXPECT_EQ(plan.cut_weight, 0.0);
-}
-
-TEST(QueuePlan, SingleNodeIsAllZero) {
-  hq::queue_graph g;
-  g.num_stages = 3;
-  g.queues.push_back({{0}, 1, 1.0});
-  const auto plan = hq::plan_queue_placement(g, 1, 5);
-  for (unsigned n : plan.stage_node) EXPECT_EQ(n, 0u);
-  for (int n : plan.queue_node) EXPECT_EQ(n, 0);
-  EXPECT_EQ(plan.cut_weight, 0.0);
 }
 
 }  // namespace
